@@ -1,33 +1,22 @@
 """Hot numeric kernels: snap-merge of sorted weighted supports and the
 breakpoint sweeps used to verify dominance after adding a common catalyst.
 
-Each kernel has a numba @njit build and a pure-numpy build. The numpy path
-is selected when the environment variable MASTAT_NO_NUMBA is set to a
-truthy value, or when numba is not importable. Both paths implement the
-same semantics; see benchmarks/bench_kernels.py for a speed comparison.
+Every kernel is plain numpy; there is one implementation of each. The
+sweeps accumulate the jumps in extended precision (np.longdouble), so the
+worst gap they report is trustworthy at the 1e-12 level.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("MASTAT_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag not in ("", "0", "false", "no")
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError
-    from numba import njit
+def merge_sorted(values, weights, tol):
+    """Snap-merge a sorted support: returns (representatives, masses).
 
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def _merge_sorted_py(values, weights, tol):
-    # Cluster consecutive entries whose gap is <= tol; masses are summed and
-    # the representative is the mass-weighted mean (the exact common value
-    # when the cluster is constant, so lattice supports stay exact).
+    Consecutive entries whose gap is <= tol form one cluster; masses are
+    summed and the representative is the mass-weighted mean (the exact
+    common value when the cluster is constant, so lattice supports stay
+    exact).
+    """
     n = values.shape[0]
     if n == 0:
         return values, weights
@@ -47,128 +36,45 @@ def _merge_sorted_py(values, weights, tol):
     return rep, w
 
 
-def _min_cdf_gap_py(t_sorted, jumps_sorted):
-    # D(t) = sum of jumps at breakpoints <= t. Compensated in extended
-    # precision so the reported worst gap is trustworthy at the 1e-12 level.
-    cum = np.cumsum(jumps_sorted.astype(np.longdouble))
-    run_end = np.empty(t_sorted.shape[0], dtype=bool)
-    run_end[:-1] = t_sorted[1:] != t_sorted[:-1]
-    run_end[-1] = True
-    vals = cum[run_end]
-    k = int(np.argmin(vals))
-    return float(vals[k]), float(t_sorted[run_end][k])
+def _cdf_at_run_ends(t_sorted, jumps_sorted):
+    """D(t) = sum of jumps at breakpoints <= t, at each distinct breakpoint.
 
-def _min_integrated_gap_py(t_sorted, jumps_sorted):
-    # I(z) = integral of the step function D up to z, evaluated at every
-    # breakpoint; exact piecewise-linear integration.
-    cum = np.cumsum(jumps_sorted.astype(np.longdouble))
-    run_end = np.empty(t_sorted.shape[0], dtype=bool)
-    run_end[:-1] = t_sorted[1:] != t_sorted[:-1]
-    run_end[-1] = True
-    d = cum[run_end]
-    t = t_sorted[run_end].astype(np.longdouble)
-    integ = np.empty(t.shape[0], dtype=np.longdouble)
-    integ[0] = 0.0
-    if t.shape[0] > 1:
-        integ[1:] = np.cumsum(d[:-1] * np.diff(t))
-    k = int(np.argmin(integ))
-    return float(integ[k]), float(t[k])
+    Returns (D, t) at the last entry of every run of equal breakpoints; when
+    all breakpoints are distinct that is every entry, and nothing is copied.
+    """
+    cum = np.cumsum(jumps_sorted, dtype=np.longdouble)
+    new = t_sorted[1:] != t_sorted[:-1]
+    if new.all():
+        return cum, t_sorted
+    run_end = np.append(new, True)
+    return cum[run_end], t_sorted[run_end]
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _merge_sorted_nb(values, weights, tol):  # pragma: no cover - jitted
-        n = values.shape[0]
-        out_v = np.empty(n, dtype=np.float64)
-        out_w = np.empty(n, dtype=np.float64)
-        if n == 0:
-            return out_v, out_w
-        m = 0
-        first = values[0]
-        last = values[0]
-        wsum = weights[0]
-        wvsum = weights[0] * values[0]
-        for i in range(1, n):
-            v = values[i]
-            if v - last > tol:
-                if first == last or wsum <= 0.0:
-                    out_v[m] = first
-                else:
-                    out_v[m] = wvsum / wsum
-                out_w[m] = wsum
-                m += 1
-                first = v
-                wsum = 0.0
-                wvsum = 0.0
-            last = v
-            wsum += weights[i]
-            wvsum += weights[i] * v
-        if first == last or wsum <= 0.0:
-            out_v[m] = first
-        else:
-            out_v[m] = wvsum / wsum
-        out_w[m] = wsum
-        m += 1
-        return out_v[:m].copy(), out_w[:m].copy()
-
-    @njit(cache=True)
-    def _min_cdf_gap_nb(t_sorted, jumps_sorted):  # pragma: no cover - jitted
-        n = t_sorted.shape[0]
-        total = 0.0
-        comp = 0.0  # Kahan compensation
-        best = np.inf
-        best_t = t_sorted[0]
-        for i in range(n):
-            y = jumps_sorted[i] - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-            if i == n - 1 or t_sorted[i + 1] != t_sorted[i]:
-                if total < best:
-                    best = total
-                    best_t = t_sorted[i]
-        return best, best_t
-
-    @njit(cache=True)
-    def _min_integrated_gap_nb(t_sorted, jumps_sorted):  # pragma: no cover
-        n = t_sorted.shape[0]
-        total = 0.0
-        comp = 0.0
-        integ = 0.0
-        icomp = 0.0
-        best = 0.0
-        best_t = t_sorted[0]
-        for i in range(n):
-            y = jumps_sorted[i] - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-            if i < n - 1 and t_sorted[i + 1] != t_sorted[i]:
-                # integral evaluated at the next distinct breakpoint
-                dt = t_sorted[i + 1] - t_sorted[i]
-                y2 = total * dt - icomp
-                s2 = integ + y2
-                icomp = (s2 - integ) - y2
-                integ = s2
-                if integ < best:
-                    best = integ
-                    best_t = t_sorted[i + 1]
-        return best, best_t
-
-    merge_sorted = _merge_sorted_nb
-    min_cdf_gap = _min_cdf_gap_nb
-    _min_integrated_gap = _min_integrated_gap_nb
-else:
-    merge_sorted = _merge_sorted_py
-    min_cdf_gap = _min_cdf_gap_py
-    _min_integrated_gap = _min_integrated_gap_py
+def min_cdf_gap(t_sorted, jumps_sorted):
+    """(min of D over the breakpoints, where), for breakpoints sorted
+    ascending with their jumps in the same order."""
+    d, t = _cdf_at_run_ends(t_sorted, jumps_sorted)
+    k = int(np.argmin(d))
+    return float(d[k]), float(t[k])
 
 
 def min_integrated_gap(t_sorted, jumps_sorted):
-    return _min_integrated_gap(t_sorted, jumps_sorted)
+    """(min of the integral of D over the breakpoints, where).
+
+    The integral is exact piecewise-linear integration of the step function
+    D from the first breakpoint, where it is 0.
+    """
+    d, t = _cdf_at_run_ends(t_sorted, jumps_sorted)
+    area = np.subtract(t[1:], t[:-1], dtype=np.longdouble)
+    area *= d[:-1]
+    np.cumsum(area, out=area)
+    if area.size:
+        k = int(np.argmin(area))
+        if area[k] < 0.0:
+            return float(area[k]), float(t[k + 1])
+    return 0.0, float(t[0])
 
 
 def active_path():
-    """'numba' or 'numpy', whichever the kernels are running on."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """The kernel implementation in use; numpy is the only one."""
+    return "numpy"

@@ -13,6 +13,7 @@ stays exact for atoms whose linear mass underflows a double. Values are
 clipped to [min, max], where the exact statistic always lies.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -20,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .dist import FiniteDist
+from .errors import BadParams
 
 #: |a| * scale below this switches to the second-order expansion around a=0.
 _SMALL_A = 1e-6
@@ -39,10 +41,13 @@ def k_a_many(d: FiniteDist, avec: np.ndarray) -> np.ndarray:
     m = d.moments
     scale = max(1.0, abs(m.lo), abs(m.hi))
     absa = np.abs(avec) * scale
-    if avec.size and absa.min() >= _SMALL_A and absa.max() <= _HUGE_A:
+    if avec.size and (amin := absa.min()) >= _SMALL_A and absa.max() <= _HUGE_A:
         # every index is finite, clear of zero and below the huge cutoff
         out = _k_direct(d, avec)
     else:
+        # min propagates NaN, so a NaN index fails the test above and lands here
+        if avec.size and math.isnan(amin):
+            raise BadParams("K_a index must not be NaN")
         # infinite or past the huge cutoff (where a*x risks overflow): the
         # endpoint, which is exact to double precision there
         out = np.where(avec > 0, m.hi, m.lo)

@@ -186,10 +186,11 @@ def make(support, probs, *, log_probs=None) -> FiniteDist:
         )
     if not np.isfinite(support).all():
         raise BadParams("support points must be finite")
-    if (probs < 0).any():
-        raise NegativeProb("probabilities must be nonnegative")
+    # written so that a NaN mass fails the checks
+    if not (probs >= 0).all():
+        raise NegativeProb("probabilities must be nonnegative numbers")
     total = probs.sum()
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:
         raise MassNotOne(f"probabilities sum to {total!r}, expected 1")
     return _canonical(support, probs, log_probs)
 

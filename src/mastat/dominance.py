@@ -7,7 +7,9 @@ the hypothesis that the CGF profile of X strictly dominates that of Y
 (everywhere, or on the nonpositive indices for the second order). The
 returned certificate is machine-checked: the dominance sweep over every
 breakpoint of the convolved cdfs is part of construction, not a test-only
-step, and `verified` is set only when the worst gap clears -1e-12.
+step, and `verified` is set only when the worst gap clears -1e-12. The
+sweep sorts the breakpoints as rows that are already sorted and sums the
+cdf gap in extended precision.
 
 large_numbers_n searches for the first n at which the n-fold i.i.d. sums
 become comparable.
@@ -44,6 +46,11 @@ _Z_ATOMS = (129, 1025, 8193, 16384)
 
 #: doublings of the catalyst variance before giving up
 _V_DOUBLINGS = 40
+
+#: merged-support size from which the sweep lays its breakpoints out one
+#: row per catalyst atom; below it, rows of u.size breakpoints sort slower
+#: than rows of one support point each (measured with 129 to 8,193 atoms)
+_Z_MAJOR_MIN_ROW = 100
 
 
 @dataclass(frozen=True)
@@ -140,14 +147,23 @@ def _conv_gap_sweep(
     """Worst value over all breakpoints of D (order 1) or of its integral
     (order 2), where D(t) = F_{Y+Z}(t) - F_{X+Z}(t).
 
-    D jumps by s_i * pz_k at t = u_i + z_k; no convolved distribution is
-    materialized.
+    D jumps by s_i * pz_k at t = z_k + u_i; no convolved distribution is
+    materialized. fl(a + b) is monotone, so each row of the breakpoint
+    matrix is already sorted and the stable sort merges rows. With one row
+    per catalyst atom (Z-major), a row overlaps only the neighbours within
+    span(u) / step, which makes the merge cheap once rows are long; a short
+    u gives rows too short for that, and one row per support point of u
+    sorts faster.
     """
-    t = (u[:, None] + z.support[None, :]).ravel()
-    j = (s[:, None] * z.probs[None, :]).ravel()
-    order_idx = np.argsort(t, kind="stable")
-    t = t[order_idx]
-    j = j[order_idx]
+    if u.size >= _Z_MAJOR_MIN_ROW:
+        (row_at, row_p), (col_at, col_p) = (z.support, z.probs), (u, s)
+    else:
+        (row_at, row_p), (col_at, col_p) = (u, s), (z.support, z.probs)
+    t = (row_at[:, None] + col_at).ravel()
+    idx = np.argsort(t, kind="stable")
+    t = t[idx]
+    j = (row_p[:, None] * col_p).ravel()[idx]
+    del idx  # freed before the kernels allocate their extended-precision sums
     if order == 1:
         return _kernels.min_cdf_gap(t, j)
     return _kernels.min_integrated_gap(t, j)

@@ -62,10 +62,11 @@ def make_measure(locations, weights) -> MixingMeasure:
         raise EmptyFamily("need matching, nonempty locations and weights")
     if np.any(np.isnan(locations)):
         raise BadSupport("locations must not be NaN")
-    if np.any(weights < 0):
-        raise NegativeProb("weights must be nonnegative")
+    # written so that a NaN weight fails the checks
+    if not (weights >= 0).all():
+        raise NegativeProb("weights must be nonnegative numbers")
     total = weights.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise MassNotOne(f"weights sum to {total!r}, expected 1")
     order = np.argsort(locations, kind="stable")
     locations = locations[order]

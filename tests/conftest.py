@@ -23,7 +23,7 @@ def random_measure(rng, n_min=1, n_max=4, lo=-3.0, hi=3.0, allow_inf=False):
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Compile/warm the jitted kernels once so timed tests measure compute."""
+    """Run the kernels once so timed tests do not pay first-call costs."""
     d = dist.make([0.0, 1.0], [0.5, 0.5])
     from mastat import dominance
 

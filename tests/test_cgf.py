@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mastat import cgf, dist
+from mastat.errors import BadParams
 from conftest import random_dist
 
 
@@ -24,6 +25,13 @@ class TestKa:
     def test_essential_max(self):
         d = dist.make([0, 1], [2 / 3, 1 / 3])
         assert cgf.k_a(d, np.inf) == 1.0
+
+    def test_nan_index_rejected(self):
+        d = dist.make([0, 1, 2], [0.25, 0.25, 0.5])
+        with pytest.raises(BadParams):
+            cgf.k_a(d, np.nan)
+        with pytest.raises(BadParams):
+            cgf.k_a_many(d, np.array([-1.0, np.nan, 2.0]))
 
     def test_lncosh_value(self):
         assert cgf.k_a(SYM, 1.0) == pytest.approx(_lncosh1_reference(), abs=1e-12)
@@ -97,13 +105,16 @@ class TestKa:
         rng = np.random.default_rng(17)
         grid = cgf.profile_grid(51)
         found = 0
-        while found < 15:
+        for _ in range(1000):  # 78 draws give 15 pairs; a broken fosd fails, not hangs
             d1, d2 = random_dist(rng), random_dist(rng)
             if not dominance.fosd(d1, d2).dominates:
                 continue
             found += 1
             gap = cgf.k_a_many(d1, grid) - cgf.k_a_many(d2, grid)
             assert np.all(gap >= -1e-12)
+            if found == 15:
+                break
+        assert found == 15
 
 
 class TestProfile:

@@ -149,6 +149,12 @@ class TestVerdictsAndCodes:
         assert cli.run(["dominance", files["X"]]) == 2  # missing argument
         assert cli.run(["dominance", files["X"], files["Y"], "--tol", "-1"]) == 2
 
+    def test_dominance_nan_prob_is_input_error(self, files):
+        path = files["tmp"] / "nan.json"
+        path.write_text(json.dumps({"support": [0, 1], "probs": [math.nan, 1.0]}))
+        assert "NaN" in path.read_text()
+        assert cli.run(["dominance", str(path), files["Y"]]) == 2
+
     def test_budget_exhaustion_exit_code(self, files, monkeypatch):
         import mastat.dominance as dominance_mod
 

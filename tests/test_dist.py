@@ -10,6 +10,7 @@ from mastat import _kernels, dist
 from mastat.errors import (
     BadInterval,
     BadParams,
+    InputError,
     LambdaOutOfRange,
     LengthMismatch,
     MassNotOne,
@@ -62,6 +63,12 @@ class TestMake:
             dist.make([0, 1], [1.5, -0.5])
         with pytest.raises(MassNotOne):
             dist.make([0, 1], [0.5, 0.4])
+
+    def test_nan_mass_rejected(self):
+        # a NaN mass used to pass the checks and then be dropped as zero
+        for probs in ([np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]):
+            with pytest.raises(InputError):
+                dist.make([0, 1], probs)
 
     def test_mass_renormalized_exactly(self):
         d = dist.make([0, 1, 2], [0.3 + 2e-10, 0.3, 0.4])
@@ -311,7 +318,7 @@ def test_fosd_preserved_by_common_convolution():
 
     rng = np.random.default_rng(8)
     found = 0
-    while found < 20:
+    for _ in range(1000):  # 111 draws give 20 pairs; a broken fosd fails, not hangs
         d1, d2 = random_dist(rng), random_dist(rng)
         if not dominance.fosd(d1, d2).dominates:
             continue
@@ -320,6 +327,9 @@ def test_fosd_preserved_by_common_convolution():
         assert dominance.fosd(
             dist.convolve(d1, z), dist.convolve(d2, z), tol=1e-12
         ).dominates
+        if found == 20:
+            break
+    assert found == 20
 
 
 def _merge_sorted_oracle(values, weights, tol):

@@ -6,6 +6,7 @@ from mastat.errors import (
     EmptyFamily,
     EmptyGrid,
     InfiniteAtom,
+    InputError,
     MassNotOne,
 )
 from conftest import random_dist, random_measure
@@ -26,6 +27,11 @@ class TestMeasure:
     def test_mass_checked(self):
         with pytest.raises(MassNotOne):
             mas.make_measure([0.0], [0.5])
+
+    def test_nan_weight_rejected(self):
+        for wts in ([np.nan, 1.0], [1.0, np.nan]):
+            with pytest.raises(InputError):
+                mas.make_measure([1.0, 2.0], wts)
 
     def test_infinite_atoms_ordered(self):
         mu = mas.make_measure([np.inf, 0.0, -np.inf], [0.2, 0.5, 0.3])
