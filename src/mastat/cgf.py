@@ -11,8 +11,18 @@ indices are plain IEEE floats, with +-inf playing the infinite endpoints.
 Evaluation is max-shift stabilized and works on log-probabilities, so it
 stays exact for atoms whose linear mass underflows a double. Values are
 clipped to [min, max], where the exact statistic always lies.
+
+`_k_direct` works on one atoms x indices buffer in place. For laws of
+fewer than 8 atoms its memory is atom-major, so max and sum run down
+contiguous rows; from 8 atoms on it is the transposed view of an
+index-major array, and numpy reduces each index's contiguous atoms.
+Both give the bytes of the plain index-major evaluation: numpy's pairwise
+sum adds fewer than 8 elements one after another, exactly as the
+row-by-row reduction does, and splits 8 or more across 8 accumulators,
+which only the index-major memory order reproduces.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +39,9 @@ _SMALL_A = 1e-6
 #: |a| * scale above this returns the relevant endpoint outright.
 _HUGE_A = 1e300
 
+#: laws with fewer atoms than this are evaluated atom-major (see module doc).
+_ATOM_MAJOR_BELOW = 8
+
 
 def k_a(d: FiniteDist, a: float) -> float:
     """K_a(d) for a single extended-real index a."""
@@ -41,8 +54,14 @@ def k_a_many(d: FiniteDist, avec: np.ndarray) -> np.ndarray:
     m = d.moments
     scale = max(1.0, abs(m.lo), abs(m.hi))
     absa = np.abs(avec) * scale
-    if avec.size and (amin := absa.min()) >= _SMALL_A and absa.max() <= _HUGE_A:
-        # every index is finite, clear of zero and below the huge cutoff
+    if (
+        avec.size
+        and (amin := absa.min()) >= _SMALL_A
+        and absa.max() <= _HUGE_A
+        and avec.ndim == 1
+    ):
+        # a 1-d vector whose every index is finite, clear of zero and below
+        # the huge cutoff; 0-d and n-d arrays take the masks, which flatten
         out = _k_direct(d, avec)
     else:
         # min propagates NaN, so a NaN index fails the test above and lands here
@@ -54,17 +73,35 @@ def k_a_many(d: FiniteDist, avec: np.ndarray) -> np.ndarray:
         # near zero the direct path loses ~eps/|a|; use mean + a*var/2
         near = absa < _SMALL_A
         if near.any():
-            out[near] = m.mean + avec[near] * m.variance / 2.0
+            if math.isfinite(m.variance):
+                out[near] = m.mean + avec[near] * m.variance / 2.0
+            else:
+                # the variance overflowed: a*var/2 is the endpoint already in
+                # out for a != 0, and 0*inf at a = 0, where K_0 is the mean
+                out[avec == 0] = m.mean
         reg = ~near & (absa <= _HUGE_A)
         out[reg] = _k_direct(d, avec[reg])
     return out.clip(m.lo, m.hi)
 
 
-def _k_direct(d: FiniteDist, avec: np.ndarray) -> np.ndarray:
-    """(1/a) log sum_i p_i exp(a x_i), max-shifted, for regular finite a."""
-    t = np.multiply.outer(avec, d.support) + d.log_probs
-    big = t.max(axis=-1)
-    return (big + np.log(np.exp(t - big[..., None]).sum(axis=-1))) / avec
+def _k_direct(d: FiniteDist, a: np.ndarray) -> np.ndarray:
+    """(1/a) log sum_i p_i exp(a x_i), max-shifted, for a 1-d vector of
+    regular finite a."""
+    # one atoms x indices buffer; from 8 atoms on it is the transposed view
+    # of an indices x atoms array, so each index's atoms stay contiguous
+    if d.n_atoms < _ATOM_MAJOR_BELOW:
+        buf = np.multiply.outer(d.support, a)
+    else:
+        buf = np.multiply.outer(a, d.support).T
+    buf += d.log_probs[:, None]
+    big = np.maximum.reduce(buf, axis=0)
+    buf -= big
+    np.exp(buf, out=buf)
+    out = np.add.reduce(buf, axis=0)
+    np.log(out, out=out)
+    out += big
+    out /= a
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,16 +116,23 @@ def profile_grid(n_grid: int = 201) -> np.ndarray:
     """{-inf} + tan-mapped interior points (always including 0) + {+inf}.
 
     n_grid is bumped to the next odd integer so the mean point a = 0 is on
-    the grid.
+    the grid. The array is built once per size and is read-only.
     """
     if n_grid < 3:
         raise ValueError("n_grid must be at least 3")
     if n_grid % 2 == 0:
         n_grid += 1
+    return _grid(n_grid)
+
+
+@functools.lru_cache(maxsize=32)
+def _grid(n_grid: int) -> np.ndarray:
     t = np.linspace(-1.0, 1.0, n_grid + 2)[1:-1]
     interior = np.tan(np.pi * t / 2.0)
     interior[n_grid // 2] = 0.0
-    return np.concatenate(([-np.inf], interior, [np.inf]))
+    grid = np.concatenate(([-np.inf], interior, [np.inf]))
+    grid.flags.writeable = False
+    return grid
 
 
 def k_profile(d: FiniteDist, n_grid: int = 201) -> KProfile:

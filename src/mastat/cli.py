@@ -30,10 +30,15 @@ def _read_json(path):
 
 def load_dist(path) -> dist.FiniteDist:
     obj = _read_json(path)
+    arrays = []
     for field in ("support", "probs"):
         if not isinstance(obj, dict) or field not in obj:
             raise InputError(f"{path}: missing field {field!r}")
-    return dist.make(obj["support"], obj["probs"])
+        try:
+            arrays.append(np.asarray(obj[field], dtype=np.float64))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"{path}: {field} must be a list of numbers") from exc
+    return dist.make(*arrays)
 
 
 def dist_to_dict(d: dist.FiniteDist) -> dict:
@@ -46,7 +51,10 @@ def _atom_loc(raw, path):
     if raw == "-inf":
         return -np.inf
     if isinstance(raw, (int, float)):
-        return float(raw)
+        try:
+            return float(raw)
+        except OverflowError as exc:
+            raise InputError(f"{path}: atom location is out of range") from exc
     raise InputError(f"{path}: atom location must be a number, 'inf' or '-inf'")
 
 
@@ -54,12 +62,17 @@ def load_measure(path) -> mas.MixingMeasure:
     obj = _read_json(path)
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise InputError(f"{path}: missing field 'atoms'")
+    if not isinstance(obj["atoms"], list):
+        raise InputError(f"{path}: 'atoms' must be a list")
     locs, wts = [], []
     for i, atom in enumerate(obj["atoms"]):
-        if "a" not in atom or "w" not in atom:
+        if not isinstance(atom, dict) or "a" not in atom or "w" not in atom:
             raise InputError(f"{path}: atoms[{i}] needs fields 'a' and 'w'")
         locs.append(_atom_loc(atom["a"], path))
-        wts.append(float(atom["w"]))
+        try:
+            wts.append(float(atom["w"]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"{path}: atoms[{i}].w must be a number") from exc
     return mas.make_measure(locs, wts)
 
 

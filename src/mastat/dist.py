@@ -191,7 +191,7 @@ def make(support, probs, *, log_probs=None) -> FiniteDist:
         raise NegativeProb("probabilities must be nonnegative numbers")
     total = probs.sum()
     if not abs(total - 1.0) <= MASS_TOL:
-        raise MassNotOne(f"probabilities sum to {total!r}, expected 1")
+        raise MassNotOne(f"probabilities sum to {float(total)}, expected 1")
     return _canonical(support, probs, log_probs)
 
 

@@ -67,7 +67,7 @@ def make_measure(locations, weights) -> MixingMeasure:
         raise NegativeProb("weights must be nonnegative numbers")
     total = weights.sum()
     if not abs(total - 1.0) <= 1e-9:
-        raise MassNotOne(f"weights sum to {total!r}, expected 1")
+        raise MassNotOne(f"weights sum to {float(total)}, expected 1")
     order = np.argsort(locations, kind="stable")
     locations = locations[order]
     weights = weights[order]

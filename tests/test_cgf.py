@@ -33,6 +33,15 @@ class TestKa:
         with pytest.raises(BadParams):
             cgf.k_a_many(d, np.array([-1.0, np.nan, 2.0]))
 
+    def test_mean_at_zero_when_variance_overflows(self):
+        for support, mean in (([-1e200, 1e200], 0.0), ([-1e200, 3e200], 1e200)):
+            d = dist.make(support, [0.5, 0.5])
+            assert dist.moments(d).variance == np.inf
+            assert cgf.k_a(d, 0.0) == mean and cgf.k_a(d, -0.0) == mean
+            vals = cgf.k_a_many(d, np.array([-np.inf, -1e-300, 0.0, 1e-300, np.inf]))
+            assert not np.isnan(vals).any()
+            assert vals[[0, 2, 4]].tolist() == [-1e200, mean, support[1]]
+
     def test_lncosh_value(self):
         assert cgf.k_a(SYM, 1.0) == pytest.approx(_lncosh1_reference(), abs=1e-12)
 
@@ -161,6 +170,16 @@ class TestKDominates:
         assert cgf.k_a(lo, res.witness) < cgf.k_a(hi, res.witness) - 1e-12
 
 
+def _fresh_grid(n_grid):
+    """The profile grid as first written, rebuilt on every call."""
+    if n_grid % 2 == 0:
+        n_grid += 1
+    t = np.linspace(-1.0, 1.0, n_grid + 2)[1:-1]
+    interior = np.tan(np.pi * t / 2.0)
+    interior[n_grid // 2] = 0.0
+    return np.concatenate(([-np.inf], interior, [np.inf]))
+
+
 def _k_masked(d, avec):
     """K_a evaluated entry class by entry class, as first written: six masks
     (+inf, -inf, finite, near zero, huge, regular), moments recomputed."""
@@ -199,6 +218,9 @@ class TestSinglePass:
         out = [random_dist(rng, 1, 8) for _ in range(40)]
         out += [dist.shift(d, 300.0) for d in out[:5]]
         out += [dist.decay_two_point(4096, 1.0), dist.decay_two_point(30, 0.2)]
+        # 8 atoms and up are evaluated index-major, below 8 atom-major
+        out += [random_dist(rng, n, n + 1) for n in (8, 9, 25)]
+        out.append(dist.discretize_uniform(-0.6, 0.4, 1e-3))  # the figure pair's Y
         return rng, out
 
     def test_all_regular_vectors(self):
@@ -229,9 +251,22 @@ class TestSinglePass:
         for d in dists:
             assert cgf.k_a_many(d, grid).tobytes() == _k_masked(d, grid).tobytes()
 
+    def test_profile_grid_built_once_read_only(self):
+        for n_grid in (3, 10, 51, 201):
+            grid = cgf.profile_grid(n_grid)
+            assert grid is cgf.profile_grid(n_grid)
+            assert not grid.flags.writeable
+            with pytest.raises(ValueError):
+                grid[1] = 0.5
+            assert grid.tobytes() == _fresh_grid(n_grid).tobytes()
+
     def test_scalar_and_empty_indices(self):
         d = dist.make([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])
         for a in (0.7, 0.0, -np.inf):
             assert cgf.k_a_many(d, a).shape == ()
             assert float(cgf.k_a_many(d, a)) == cgf.k_a(d, a)
         assert cgf.k_a_many(d, np.array([])).shape == (0,)
+        square = np.array([[0.7, -1.2], [2.0, 0.3]])
+        got = cgf.k_a_many(d, square)
+        assert got.shape == (2, 2)
+        assert got.tobytes() == cgf.k_a_many(d, square.ravel()).tobytes()

@@ -155,6 +155,26 @@ class TestVerdictsAndCodes:
         assert "NaN" in path.read_text()
         assert cli.run(["dominance", str(path), files["Y"]]) == 2
 
+    @pytest.mark.parametrize(
+        "cmd, flag, obj",
+        [
+            ("phi", "--measure", {"atoms": [1.0]}),
+            ("phi", "--measure", {"atoms": 3}),
+            ("phi", "--measure", {"atoms": [{"a": 1.0, "w": "x"}]}),
+            ("kprofile", "--dist", {"support": ["a", 1], "probs": [0.5, 0.5]}),
+            ("kprofile", "--dist", {"support": [0, 1], "probs": [[0.5], 0.5]}),
+        ],
+    )
+    def test_malformed_json_is_input_error(self, capsys, files, cmd, flag, obj):
+        path = files["tmp"] / "malformed.json"
+        path.write_text(json.dumps(obj))
+        argv = [cmd, flag, str(path)]
+        if cmd == "phi":
+            argv += ["--dist", files["X"]]
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_budget_exhaustion_exit_code(self, files, monkeypatch):
         import mastat.dominance as dominance_mod
 
@@ -171,6 +191,15 @@ class TestCsvOutputs:
         assert out[1].startswith("-inf,")
         assert out[-1].startswith("+inf,")
         assert len(out) == 1 + 11 + 2
+
+    def test_kprofile_extreme_scale_has_mean_at_zero(self, capsys, files):
+        # the variance overflows to inf; K_0 used to print as nan
+        path = files["tmp"] / "wide.json"
+        path.write_text(json.dumps({"support": [-1e200, 1e200], "probs": [0.5, 0.5]}))
+        code = cli.run(["kprofile", "--dist", str(path), "--n-grid", "5"])
+        out = capsys.readouterr().out
+        assert code == 0 and "nan" not in out
+        assert "0.0,0.0" in out.splitlines()
 
     def test_cdf_csv(self, capsys, files):
         code = cli.run(["cdf-csv", files["X"], files["Y"], "--add", files["Z"]])

@@ -70,6 +70,11 @@ class TestMake:
             with pytest.raises(InputError):
                 dist.make([0, 1], probs)
 
+    def test_mass_error_prints_plain_number(self):
+        with pytest.raises(MassNotOne, match="sum to inf,") as err:
+            dist.make([0, 1], [np.inf, 1.0])
+        assert "np.float64" not in str(err.value)
+
     def test_mass_renormalized_exactly(self):
         d = dist.make([0, 1, 2], [0.3 + 2e-10, 0.3, 0.4])
         assert abs(d.probs.sum() - 1.0) < 1e-15

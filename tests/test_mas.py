@@ -28,6 +28,11 @@ class TestMeasure:
         with pytest.raises(MassNotOne):
             mas.make_measure([0.0], [0.5])
 
+    def test_mass_error_prints_plain_number(self):
+        with pytest.raises(MassNotOne, match="sum to inf,") as err:
+            mas.make_measure([1.0, 2.0], [np.inf, 1.0])
+        assert "np.float64" not in str(err.value)
+
     def test_nan_weight_rejected(self):
         for wts in ([np.nan, 1.0], [1.0, np.nan]):
             with pytest.raises(InputError):
