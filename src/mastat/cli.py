@@ -233,11 +233,22 @@ def _cmd_large_n(args):
 
 def _cmd_aggregate(args):
     obj = _read_json(args.profile)
+    lists = []
     for field in ("rates", "weights"):
-        if field not in obj:
+        if not isinstance(obj, dict) or field not in obj:
             raise InputError(f"{args.profile}: missing field {field!r}")
-    profile = pref.AgentProfile(tuple(obj["rates"]), pref.UtilitySpec.identity())
-    social = pref.aggregate(profile, obj["weights"])
+        values = obj[field]
+        if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) for v in values
+        ):
+            raise InputError(f"{args.profile}: {field} must be a list of numbers")
+        try:
+            lists.append([float(v) for v in values])
+        except OverflowError as exc:
+            raise InputError(f"{args.profile}: {field} must be a list of numbers") from exc
+    rates, weights = lists
+    profile = pref.AgentProfile(tuple(rates), pref.UtilitySpec.identity())
+    social = pref.aggregate(profile, weights)
     out = {
         "weights": list(social.weights),
         "rate": social.rate,

@@ -82,6 +82,12 @@ class FiniteDist:
         return Moments(mean, var, float(x[0]), float(x[-1]))
 
     @cached_property
+    def min_gap(self) -> float:
+        """Smallest gap between adjacent support points (inf for one atom)."""
+        x = self.support
+        return float((x[1:] - x[:-1]).min()) if x.size > 1 else math.inf
+
+    @cached_property
     def cdf_steps(self) -> np.ndarray:
         """[0, P(X <= x_1), ..., P(X <= x_n)], renormalized to end at 1.0.
 
@@ -126,6 +132,12 @@ def _canonical(support, probs, log_probs=None) -> FiniteDist:
     ):
         probs = probs / probs.sum()
         return FiniteDist(support.copy(), probs, np.log(probs))
+    return _sort_merge(support, probs, log_probs)
+
+
+def _sort_merge(support, probs, log_probs=None) -> FiniteDist:
+    """The canonicalisation of _canonical without its early return, for
+    1-d float64 input that is not already canonical."""
     order = np.argsort(support, kind="stable")
     support = support[order]
     probs = probs[order]
@@ -196,14 +208,37 @@ def make(support, probs, *, log_probs=None) -> FiniteDist:
 
 
 def convolve(d1: FiniteDist, d2: FiniteDist, *, cap: int = SUPPORT_CAP) -> FiniteDist:
-    """Distribution of X + Y for independent X ~ d1, Y ~ d2."""
+    """Distribution of X + Y for independent X ~ d1, Y ~ d2.
+
+    fl(a + b) is monotone, so the pair sums are laid out as rows that are
+    already sorted, and the stable sort in _canonical merges them. The rows
+    run along the larger law: one row per d1 atom (d1-major), or, when d2
+    has fewer atoms, one row per d2 atom in descending d2 order with d1
+    ascending along each row. Both layouts sort to the same sequence, so
+    the snap-merge sums the masses in the same order and the result is the
+    same bytes. Distinct sums sort alike in any layout. Inside a group of
+    exactly equal sums, ascending d1 index goes with descending d2 index
+    as long as no two sums along one d1 atom tie, which holds when d2's
+    smallest gap exceeds 2 ulp of the largest |sum|; ties along one d2
+    atom keep ascending d1 order in both layouts. Where d2 has sub-ulp gaps
+    (support near 1e8 against {0, 4e-9, 8e-9}), the sums stay d1-major.
+    """
     n_pairs = d1.n_atoms * d2.n_atoms
     if n_pairs > cap:
         raise SupportBlowup(
             f"convolution would enumerate {n_pairs} atom pairs (cap {cap})"
         )
-    vals = (d1.support[:, None] + d2.support[None, :]).ravel()
-    wts = (d1.probs[:, None] * d2.probs[None, :]).ravel()
+    x, y = d1.support, d2.support
+    if 1 < y.size < x.size and d2.min_gap > 2.0 * math.ulp(
+        max(-x[0], x[-1]) + max(-y[0], y[-1])
+    ):
+        # each row ends above the next one's start, so the sums are never
+        # already canonical and _canonical's early-return test is skipped
+        vals = (y[::-1, None] + x).ravel()
+        wts = (d2.probs[::-1, None] * d1.probs).ravel()
+        return _sort_merge(vals, wts)
+    vals = (x[:, None] + y).ravel()
+    wts = (d1.probs[:, None] * d2.probs).ravel()
     return _canonical(vals, wts)
 
 

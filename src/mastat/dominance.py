@@ -33,6 +33,7 @@ from .dist import (
     shift,
 )
 from .errors import (
+    BadParams,
     BudgetExhausted,
     DegenerateGap,
     NoKDominance,
@@ -68,22 +69,20 @@ class SosdResult:
     min_integral: float
 
 
-def _survival(d: FiniteDist, pts: np.ndarray) -> np.ndarray:
-    """P(X > x), accumulated from the upper tail (see survival_steps)."""
-    return d.survival_steps[np.searchsorted(d.support, pts, side="right")]
-
-
 def fosd(d1: FiniteDist, d2: FiniteDist, tol: float = 0.0) -> FosdResult:
     """Does d1 first-order dominate d2? Checks F1 <= F2 + tol at every
     merged-support point; strict needs a gap beyond tol somewhere.
 
     The gap is evaluated both as F2 - F1 (exact in the lower tail) and as
     S1 - S2 of the survival functions (exact in the upper tail), which are
-    equal in exact arithmetic.
+    equal in exact arithmetic. Each law's support is searched once: the
+    cdf and survival step tables share their index (see cdf_steps).
     """
     pts = merged_support(d1, d2)
-    gap_f = cdf(d2, pts) - cdf(d1, pts)  # >= -tol required everywhere
-    gap_s = _survival(d1, pts) - _survival(d2, pts)
+    k1 = np.searchsorted(d1.support, pts, side="right")
+    k2 = np.searchsorted(d2.support, pts, side="right")
+    gap_f = d2.cdf_steps[k2] - d1.cdf_steps[k1]  # >= -tol required everywhere
+    gap_s = d1.survival_steps[k1] - d2.survival_steps[k2]
     gap = np.minimum(gap_f, gap_s)
     bad = np.flatnonzero(gap < -tol)
     if bad.size:
@@ -368,8 +367,8 @@ def large_numbers_n(
     Checks every n (no monotone restart assumed); running convolution
     powers are kept incrementally.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    if n_max < 1 or int(n_max) != n_max:
+        raise BadParams("n_max must be a positive integer")
     px, py = dx, dy
     for n in range(1, int(n_max) + 1):
         if n > 1:

@@ -361,6 +361,16 @@ def median(d: FiniteDist) -> float:
     return float(d.support[min(i, d.n_atoms - 1)])
 
 
+def _ranked_pairs(
+    preference: Callable[[FiniteDist], float], gambles: Sequence[FiniteDist]
+) -> List[Tuple[int, int]]:
+    """Index pairs (i, j) with preference(gambles[i]) > preference(gambles[j]),
+    in the order the violation search visits them."""
+    values = [preference(g) for g in gambles]
+    n = len(gambles)
+    return [(i, j) for i in range(n) for j in range(n) if values[i] > values[j]]
+
+
 def find_framing_violation(
     pref1: Callable[[FiniteDist], float],
     pref2: Callable[[FiniteDist], float],
@@ -372,11 +382,8 @@ def find_framing_violation(
     first-order dominating X + Y; None if none exists within the budget.
     """
     gambles = grid.gambles()
-    v1 = [pref1(g) for g in gambles]
-    v2 = [pref2(g) for g in gambles]
-    n = len(gambles)
-    pairs1 = [(i, j) for i in range(n) for j in range(n) if v1[i] > v1[j]]
-    pairs2 = [(i, j) for i in range(n) for j in range(n) if v2[i] > v2[j]]
+    pairs1 = _ranked_pairs(pref1, gambles)
+    pairs2 = _ranked_pairs(pref2, gambles)
     conv_cache = {}
 
     def conv(i, j):
@@ -408,12 +415,7 @@ def count_candidates(
 ) -> int:
     """Size of the quadruple search space for the given preferences."""
     gambles = grid.gambles()
-    v1 = [pref1(g) for g in gambles]
-    v2 = [pref2(g) for g in gambles]
-    n = len(gambles)
-    n1 = sum(1 for i in range(n) for j in range(n) if v1[i] > v1[j])
-    n2 = sum(1 for i in range(n) for j in range(n) if v2[i] > v2[j])
-    return n1 * n2
+    return len(_ranked_pairs(pref1, gambles)) * len(_ranked_pairs(pref2, gambles))
 
 
 def preference_mean(d: FiniteDist) -> float:

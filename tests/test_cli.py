@@ -175,6 +175,23 @@ class TestVerdictsAndCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rates": 3, "weights": [1.0]},
+            {"rates": ["x"], "weights": [1.0]},
+            {"rates": [1.0], "weights": 1.0},
+            {"rates": [1.0], "weights": [None]},
+            [1.0, 1.0],
+        ],
+    )
+    def test_malformed_aggregate_is_input_error(self, capsys, files, obj):
+        path = files["tmp"] / "agents.json"
+        path.write_text(json.dumps(obj))
+        assert cli.run(["aggregate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_budget_exhaustion_exit_code(self, files, monkeypatch):
         import mastat.dominance as dominance_mod
 

@@ -18,7 +18,7 @@ from mastat.errors import (
     SupportBlowup,
 )
 
-from conftest import random_dist
+from conftest import convolve_d1_major, random_dist, same_bytes, seeded_law
 
 
 def total_variation(d1, d2):
@@ -483,8 +483,6 @@ class TestStoredMoments:
 
 class TestCachedSteps:
     def test_cdf_and_survival_match_their_formulas(self):
-        from mastat.dominance import _survival
-
         rng = np.random.default_rng(45)
         for _ in range(50):
             d = dist.convolve(random_dist(rng), random_dist(rng))
@@ -496,7 +494,7 @@ class TestCachedSteps:
             tail = np.cumsum(d.probs[::-1])[::-1]
             want_sf = np.concatenate((tail / tail[0], [0.0]))[idx]
             assert dist.cdf(d, pts).tobytes() == want_cdf.tobytes()
-            assert _survival(d, pts).tobytes() == want_sf.tobytes()
+            assert d.survival_steps[idx].tobytes() == want_sf.tobytes()
             assert dist.cdf(d, float(pts[0])) == want_cdf[0]
 
     def test_steps_are_read_only(self):
@@ -504,3 +502,110 @@ class TestCachedSteps:
         for steps in (d.cdf_steps, d.survival_steps):
             with pytest.raises(ValueError):
                 steps[0] = 0.5
+
+
+class TestConvolveLayout:
+    """convolve lays its pair sums out one row per atom of the smaller law;
+    the result must be the bytes of the d1-major layout (the oracle)."""
+
+    @pytest.fixture
+    def layouts(self, monkeypatch):
+        """Pair sums that convolve sorts without _canonical's early-return
+        test: those laid out one row per atom of the smaller law."""
+        seen, inside = [], []
+        real_sort, real_canonical = dist._sort_merge, dist._canonical
+
+        def canonical(*args):
+            inside.append(True)
+            try:
+                return real_canonical(*args)
+            finally:
+                inside.pop()
+
+        def sort_merge(support, probs, log_probs=None):
+            if not inside:
+                seen.append(support)
+            return real_sort(support, probs, log_probs)
+
+        monkeypatch.setattr(dist, "_canonical", canonical)
+        monkeypatch.setattr(dist, "_sort_merge", sort_merge)
+        return seen
+
+    @staticmethod
+    def _assert_oracle(d1, d2):
+        for a, b in ((d1, d2), (d2, d1)):
+            assert same_bytes(dist.convolve(a, b), convolve_d1_major(a, b))
+
+    @pytest.mark.parametrize("kind, scale", [
+        ("random", 1.0), ("lattice", 0.1), ("lattice", 0.25),
+        ("random", 1e5), ("random", 1e6), ("random", 1e7), ("random", 1e8),
+    ])
+    def test_small_laws_match_d1_major(self, kind, scale):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            d1 = seeded_law(rng, int(rng.integers(1, 13)), kind, scale)
+            d2 = seeded_law(rng, int(rng.integers(1, 5)), kind, scale)
+            self._assert_oracle(d1, d2)
+
+    @pytest.mark.parametrize("kind, scale", [("random", 1.0), ("lattice", 0.1), ("lattice", 0.25)])
+    def test_power_chain_matches_d1_major(self, kind, scale):
+        """Every step of X^{*n} = X^{*(n-1)} * X up to n = 32; for a
+        generic 3-atom law the last step convolves 528 atoms with 3."""
+        rng = np.random.default_rng(62)
+        for _ in range(3):
+            x = seeded_law(rng, 3, kind, scale)
+            power = x
+            for _n in range(2, 33):
+                step = dist.convolve(power, x)
+                assert same_bytes(step, convolve_d1_major(power, x))
+                power = step
+            if kind == "random":
+                assert power.n_atoms == 561
+
+    def test_offset_laws_match_d1_major(self):
+        """Support near 1e5..1e8 against a small law with ordinary gaps."""
+        rng = np.random.default_rng(63)
+        for scale in (1e5, 1e6, 1e7, 1e8):
+            for _ in range(100):
+                big = dist.make(scale + rng.uniform(0.0, 1.0, 8), rng.dirichlet(np.ones(8)))
+                self._assert_oracle(big, seeded_law(rng, int(rng.integers(2, 5)), "random"))
+
+    @pytest.mark.parametrize("offset, small", [
+        (1e8, [0.0, 4e-9, 8e-9]),
+        (1.5e9, [0.0, 4e-9, 8e-9, 1.2e-8]),
+    ])
+    def test_sub_ulp_gaps_keep_d1_major(self, layouts, offset, small):
+        """The small law's gaps are below the ulp of the sums, so sums along
+        one large-law atom tie exactly and the d1-major order must stay.
+        Near 1e8 two sums tie, which add alike in either order, so only the
+        layout check sees a wrong choice; near 1.5e9 four tie, and their
+        masses would add in another order."""
+        assert offset + small[1] == offset  # a tie along one atom
+        rng = np.random.default_rng(64)
+        for _ in range(100):
+            big = dist.make(offset + rng.uniform(0.0, 1.0, 8), rng.dirichlet(np.ones(8)))
+            z = dist.make(small, rng.dirichlet(np.ones(len(small))))
+            self._assert_oracle(big, z)
+        assert layouts == []
+
+    def test_sub_ulp_ties_along_the_small_law_use_its_rows(self, layouts):
+        """Gaps of the larger law below the ulp tie sums along one atom of
+        the smaller law; those keep ascending d1 order in both layouts."""
+        rng = np.random.default_rng(65)
+        for _ in range(100):
+            fine = dist.make([0.0, 4e-9, 8e-9, 1.2e-8, 1.6e-8], rng.dirichlet(np.ones(5)))
+            big = dist.make([1.5e9, 1.5e9 + 1.0, 1.5e9 + 3.0], rng.dirichlet(np.ones(3)))
+            self._assert_oracle(fine, big)
+        assert len(layouts) == 100
+        y, x = big.support, fine.support
+        assert layouts[-1].tobytes() == (y[::-1, None] + x).ravel().tobytes()
+
+    def test_rows_follow_the_smaller_law(self, layouts):
+        x = dist.make([0.0, 1.0, 2.0, 4.0], [0.1, 0.2, 0.3, 0.4])
+        y = dist.make([0.0, 0.5], [0.5, 0.5])
+        dist.convolve(x, y)
+        dist.convolve(y, x)  # already one row per atom of the smaller law
+        dist.convolve(x, dist.make([3.0], [1.0]))  # one row either way
+        assert len(layouts) == 1
+        want = np.array([0.5, 1.5, 2.5, 4.5, 0.0, 1.0, 2.0, 4.0])
+        assert layouts[0].tobytes() == want.tobytes()

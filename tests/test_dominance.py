@@ -3,8 +3,14 @@ import pytest
 
 from mastat import cgf, dist, dominance, mas
 import mastat.dominance as dominance_mod
-from mastat.errors import BudgetExhausted, NoKDominance, NoKDominanceOnNegatives
-from conftest import random_dist, random_measure
+from mastat.errors import BadParams, BudgetExhausted, NoKDominance, NoKDominanceOnNegatives
+from conftest import (
+    convolve_d1_major,
+    fosd_four_searches,
+    random_dist,
+    random_measure,
+    seeded_law,
+)
 
 
 def figure_pair(step=1e-3):
@@ -29,6 +35,39 @@ class TestFosd:
         d = random_dist(np.random.default_rng(50))
         res = dominance.fosd(d, d)
         assert res.dominates and not res.strict
+
+
+class TestFosdSingleSearch:
+    """fosd searches each support once; its result must be the bytes of
+    the four-search oracle."""
+
+    @staticmethod
+    def _assert_oracle(d1, d2):
+        for a, b in ((d1, d2), (d2, d1)):
+            for tol in (0.0, 1e-12):
+                # float repr round-trips, so equal reprs are equal bits
+                assert repr(dominance.fosd(a, b, tol)) == repr(fosd_four_searches(a, b, tol))
+
+    @pytest.mark.parametrize("kind, scale", [
+        ("random", 1.0), ("lattice", 0.1), ("lattice", 0.25), ("random", 1e5), ("random", 1e8),
+    ])
+    def test_small_laws_match_oracle(self, kind, scale):
+        rng = np.random.default_rng(66)
+        for _ in range(300):
+            d1 = seeded_law(rng, int(rng.integers(1, 13)), kind, scale)
+            d2 = seeded_law(rng, int(rng.integers(1, 5)), kind, scale)
+            self._assert_oracle(d1, d2)
+            self._assert_oracle(d1, dist.shift(d1, 1e-3 * scale))
+
+    def test_power_chains_match_oracle(self):
+        rng = np.random.default_rng(67)
+        x = dist.make(rng.uniform(-1.0, 1.0, 3), rng.dirichlet(np.ones(3)))
+        y = dist.make(rng.uniform(-1.0, 1.0, 3), rng.dirichlet(np.ones(3)))
+        px, py = x, y
+        for _ in range(2, 33):
+            px, py = dist.convolve(px, x), dist.convolve(py, y)
+            self._assert_oracle(px, py)
+        assert px.n_atoms == 561
 
 
 class TestSosd:
@@ -143,6 +182,40 @@ class TestLargeNumbers:
     def test_figure_pair_on_coarse_lattice(self):
         x, y = figure_pair(step=0.05)
         assert dominance.large_numbers_n(x, y, 32) == 2  # regression value
+
+    @pytest.mark.parametrize("n_max", [0, -1, 2.5])
+    def test_bad_n_max(self, n_max):
+        d = dist.make([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(BadParams):
+            dominance.large_numbers_n(dist.shift(d, 0.5), d, n_max)
+        assert issubclass(BadParams, ValueError)
+
+    def test_answers_match_oracle(self):
+        """The first n with X^{*n} >=_1 Y^{*n}, found with the oracle
+        convolve and fosd, on pairs that rank late, never, or at once."""
+
+        def oracle(dx, dy, n_max):
+            px, py = dx, dy
+            for n in range(1, n_max + 1):
+                if n > 1:
+                    px, py = convolve_d1_major(px, dx), convolve_d1_major(py, dy)
+                if fosd_four_searches(px, py).dominates:
+                    return n
+            return None
+
+        rng = np.random.default_rng(70)
+        pairs = [figure_pair(step=0.05), figure_pair(step=0.1)]
+        for _ in range(24):
+            y = dist.make(rng.uniform(-1.0, 1.0, 3), rng.dirichlet(np.ones(3)))
+            x = dist.make(y.support + rng.uniform(0.0, 0.2, 3), rng.dirichlet(np.ones(3)))
+            pairs.append((x, y))
+        answers = []
+        for x, y in pairs:
+            got = dominance.large_numbers_n(x, y, 32)
+            assert got == oracle(x, y, 32)
+            answers.append(got)
+        assert answers[0] == 2 and None in answers and 1 in answers
+        assert max(a for a in answers if a is not None) >= 3
 
     def test_obstruction_blocks_all_n(self):
         rng = np.random.default_rng(56)

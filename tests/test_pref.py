@@ -14,7 +14,13 @@ from mastat.errors import (
     NonpositivePrize,
     WeightMismatch,
 )
-from conftest import random_dist, random_measure
+from conftest import (
+    convolve_d1_major,
+    fosd_four_searches,
+    random_dist,
+    random_measure,
+    same_bytes,
+)
 
 
 class TestUtility:
@@ -395,6 +401,29 @@ class TestFramingViolation:
             max_candidates=10**5,
         )
         assert quad is not None
+
+    def test_quadruple_matches_oracle(self, monkeypatch):
+        """Criterion 12's quadruple is the same bytes when the search runs
+        on the d1-major convolve and the four-search fosd."""
+        quad = pref.find_framing_violation(pref.median, pref.median, self.GRID, 10**5)
+        monkeypatch.setattr(pref, "convolve", convolve_d1_major)
+        monkeypatch.setattr(pref, "fosd", fosd_four_searches)
+        want = pref.find_framing_violation(pref.median, pref.median, self.GRID, 10**5)
+        assert quad is not None and want is not None
+        assert all(same_bytes(a, b) for a, b in zip(quad, want))
+
+    def test_count_matches_the_pairs_searched(self, monkeypatch):
+        compared = []
+
+        def never(d1, d2, tol=0.0):
+            compared.append(1)
+            return fosd_four_searches(d1, d1, tol)  # weak, never strict
+
+        monkeypatch.setattr(pref, "fosd", never)
+        grid = pref.GambleGrid((-1.0, 0.0, 1.0), 0.25, 2)
+        mean_var = pref.preference_mean_variance(1.0)
+        assert pref.find_framing_violation(pref.median, mean_var, grid, 10**6) is None
+        assert len(compared) == pref.count_candidates(pref.median, mean_var, grid) > 0
 
     def test_budget_respected(self):
         assert (
