@@ -1,85 +1,5 @@
-"""Hot numeric kernels: snap-merge of sorted weighted supports and the
-breakpoint sweep used to verify dominance after adding a common catalyst.
-
-Every kernel is plain numpy; there is one implementation of each. The
-sweep (min_gap_rows) takes sorted breakpoints grouped into disjoint rows
-of t, each starting from the D and integral values just before it, and
-accumulates the jumps in extended precision (np.longdouble), so the worst
-gap it reports is trustworthy at the 1e-12 level. The row-bounded sweep
-in dominance passes it only the rows whose bound can still beat the best
-value; with no rows given it is the full sorted sweep, used below the
-small-size floor.
-"""
-
-import numpy as np
-
-
-def merge_sorted(values, weights, tol):
-    """Snap-merge a sorted support: returns (representatives, masses).
-
-    Consecutive entries whose gap is <= tol form one cluster; masses are
-    summed and the representative is the mass-weighted mean (the exact
-    common value when the cluster is constant, so lattice supports stay
-    exact).
-    """
-    n = values.shape[0]
-    if n == 0:
-        return values, weights
-    brk = np.empty(n, dtype=bool)
-    brk[0] = True
-    np.greater(values[1:] - values[:-1], tol, out=brk[1:])
-    starts = brk.nonzero()[0]
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:] - 1
-    ends[-1] = n - 1
-    w = np.add.reduceat(weights, starts)
-    wv = np.add.reduceat(weights * values, starts)
-    first = values[starts]
-    pos = w > 0.0
-    # the divisor is never zero, so no floating-point flags to silence
-    rep = np.where(pos & (first != values[ends]), wv / np.where(pos, w, 1.0), first)
-    return rep, w
-
-
-def min_gap_rows(t, jumps, order, rows=None):
-    """(worst value, where) over sorted breakpoints t and their jumps.
-
-    The value at a breakpoint is D (order 1) or its integral (order 2)
-    after every jump at that breakpoint, summed in extended precision
-    (np.longdouble). rows=None is the plain sorted sweep: one row that
-    starts from D = 0 and an integral of 0 at t[0]. rows=(counts, d0, i0,
-    lo) splits the breakpoints into disjoint t-rows: row r holds counts[r]
-    > 0 consecutive entries, all in [lo[r], the next row's lo), and starts
-    from D = d0[r] and the integral i0[r] at lo[r].
-    """
-    d = jumps.astype(np.longdouble)
-    np.cumsum(d, out=d)
-    if rows is not None:
-        counts, d0, i0, lo = rows
-        starts = np.cumsum(counts) - counts
-        # per row: D before it, less the running sum carried into it
-        shift = d0 - np.concatenate(([0.0], d[starts[1:] - 1]))
-    new = t[1:] != t[:-1]
-    if not new.all():  # only the last entry of a run of equal breakpoints counts
-        run_end = np.append(new, True)
-        if rows is not None:
-            starts = np.concatenate(([0], np.cumsum(run_end)))[starts]
-        d, t = d[run_end], t[run_end]
-    if rows is not None:
-        counts = np.diff(np.append(starts, d.size))
-        d += np.repeat(shift, counts)
-    if order == 1:
-        k = int(np.argmin(d))
-        return float(d[k]), float(t[k])
-    area = np.subtract(t[1:], t[:-1], dtype=np.longdouble)
-    area *= d[:-1]
-    integ = np.zeros(t.size, dtype=np.longdouble)
-    np.cumsum(area, out=integ[1:])
-    if rows is not None:  # every row restarts from its integral at lo
-        base = i0 + np.subtract(t[starts], lo, dtype=np.longdouble) * d0
-        integ += np.repeat(base - integ[starts], counts)
-    k = int(np.argmin(integ))
-    return float(integ[k]), float(t[k])
+"""The kernel path the benchmark worker reports; each kernel lives in the
+module that uses it (the snap-merge in dist, the sweep in dominance)."""
 
 
 def active_path():

@@ -11,6 +11,7 @@ fixed seed means byte-identical output.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -205,27 +206,10 @@ def _cmd_compare(args):
 def _cmd_dominance(args):
     d1 = load_dist(args.dist1)
     d2 = load_dist(args.dist2)
-    if args.order == 1:
-        res = dominance.fosd(d1, d2, tol=args.tol)
-        obj = {
-            "order": 1,
-            "dominates": res.dominates,
-            "strict": res.strict,
-            "witness": res.witness,
-            "min_gap": res.min_gap,
-        }
-        ok = res.dominates
-    else:
-        res = dominance.sosd(d1, d2, tol=args.tol)
-        obj = {
-            "order": 2,
-            "dominates": res.dominates,
-            "witness": res.witness,
-            "min_integral": res.min_integral,
-        }
-        ok = res.dominates
-    _emit_json(obj, args.out)
-    return 0 if ok else 1
+    test = dominance.fosd if args.order == 1 else dominance.sosd
+    res = test(d1, d2, tol=args.tol)
+    _emit_json({"order": args.order, **dataclasses.asdict(res)}, args.out)
+    return 0 if res.dominates else 1
 
 
 def _cmd_catalyst(args):

@@ -6,10 +6,13 @@ functions returning new canonical distributions, so values can be shared
 freely across threads.
 
 Probabilities are stored as doubles. A parallel array of log-probabilities
-is kept alongside them: the CGF evaluator works in log space, which lets
-test-oracle constructions carry masses far below the double underflow
-threshold (for example decay_two_point with b*n of a few thousand). For
-atoms built from ordinary probabilities the two arrays agree to rounding.
+is kept alongside them: the CGF evaluator works in log space. Every law
+goes through one canonicalisation (_canonical: sort, snap-merge, drop zero
+masses, renormalise), which takes linear probabilities only, and its
+log-probabilities are the logs of the final masses. decay_two_point is the
+one law whose log masses are set directly: with b*n of a few thousand its
+top mass lies far below the double underflow threshold, and only its log
+mass keeps it.
 
 Values derived from the atoms (moments, the cdf and survival step tables)
 are computed on first use and kept on the object, so repeated calls on the
@@ -23,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     BadInterval,
     BadParams,
@@ -118,74 +120,63 @@ class FiniteDist:
         return f"FiniteDist({pairs}{tail})"
 
 
-def _canonical(support, probs, log_probs=None) -> FiniteDist:
-    """Sort, snap-merge, drop zero-mass atoms, renormalize.
+def _canonical(support, probs) -> FiniteDist:
+    """Sort, snap-merge, drop zero-mass atoms, renormalize 1-d float64 arrays.
 
     Input that is already canonical (strictly increasing with gaps above
     SNAP_TOL, all masses positive) skips the sort and merge; the result is
     the same bytes either way.
     """
-    support = np.asarray(support, dtype=np.float64).ravel()
-    probs = np.asarray(probs, dtype=np.float64).ravel()
-    if log_probs is None and support.size and probs.min() > 0.0 and (
+    if support.size and probs.min() > 0.0 and (
         support.size == 1 or (support[1:] - support[:-1]).min() > SNAP_TOL
     ):
         probs = probs / probs.sum()
         return FiniteDist(support.copy(), probs, np.log(probs))
-    return _sort_merge(support, probs, log_probs)
+    return _sort_merge(support, probs)
 
 
-def _sort_merge(support, probs, log_probs=None) -> FiniteDist:
+def _sort_merge(support, probs) -> FiniteDist:
     """The canonicalisation of _canonical without its early return, for
-    1-d float64 input that is not already canonical."""
+    input that is not already canonical."""
     order = np.argsort(support, kind="stable")
-    support = support[order]
-    probs = probs[order]
-    if log_probs is None:
-        merged_v, merged_p = _kernels.merge_sorted(support, probs, SNAP_TOL)
-        keep = merged_p > 0.0
-        merged_v = merged_v[keep]
-        merged_p = merged_p[keep]
-        if merged_v.size == 0:
-            raise MassNotOne("all atoms have zero mass")
-        merged_p = merged_p / merged_p.sum()
-        merged_lp = np.log(merged_p)
-        return FiniteDist(merged_v, merged_p, merged_lp)
-    # log-space path: merge groups with logaddexp so sub-underflow masses survive
-    log_probs = np.asarray(log_probs, dtype=np.float64).ravel()[order]
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(support) > SNAP_TOL)))
-    merged_lp = np.logaddexp.reduceat(log_probs, starts)
-    ends = np.append(starts[1:], support.size) - 1
-    merged_v = np.where(
-        support[starts] == support[ends],
-        support[starts],
-        [
-            np.average(support[s:e + 1], weights=np.exp(log_probs[s:e + 1] - log_probs[s:e + 1].max()))
-            for s, e in zip(starts, ends)
-        ],
-    )
-    keep = merged_lp > -np.inf
+    merged_v, merged_p = _merge_sorted(support[order], probs[order], SNAP_TOL)
+    keep = merged_p > 0.0
     merged_v = merged_v[keep]
-    merged_lp = merged_lp[keep]
+    merged_p = merged_p[keep]
     if merged_v.size == 0:
         raise MassNotOne("all atoms have zero mass")
-    total = _logsumexp(merged_lp)
-    merged_lp = merged_lp - total
-    merged_p = np.exp(merged_lp)
-    s = merged_p.sum()
-    if s > 0:
-        merged_p = merged_p / s
-    return FiniteDist(np.asarray(merged_v, dtype=np.float64), merged_p, merged_lp)
+    merged_p = merged_p / merged_p.sum()
+    return FiniteDist(merged_v, merged_p, np.log(merged_p))
 
 
-def _logsumexp(v):
-    m = np.max(v)
-    if not np.isfinite(m):
-        return m
-    return m + np.log(np.sum(np.exp(v - m)))
+def _merge_sorted(values, weights, tol):
+    """Snap-merge a sorted support: returns (representatives, masses).
+
+    Consecutive entries whose gap is <= tol form one cluster; masses are
+    summed and the representative is the mass-weighted mean (the exact
+    common value when the cluster is constant, so lattice supports stay
+    exact).
+    """
+    n = values.shape[0]
+    if n == 0:
+        return values, weights
+    brk = np.empty(n, dtype=bool)
+    brk[0] = True
+    np.greater(values[1:] - values[:-1], tol, out=brk[1:])
+    starts = brk.nonzero()[0]
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:] - 1
+    ends[-1] = n - 1
+    w = np.add.reduceat(weights, starts)
+    wv = np.add.reduceat(weights * values, starts)
+    first = values[starts]
+    pos = w > 0.0
+    # the divisor is never zero, so no floating-point flags to silence
+    rep = np.where(pos & (first != values[ends]), wv / np.where(pos, w, 1.0), first)
+    return rep, w
 
 
-def make(support, probs, *, log_probs=None) -> FiniteDist:
+def make(support, probs) -> FiniteDist:
     """Validate and canonicalize a distribution given as parallel lists.
 
     Raises LengthMismatch, NegativeProb, or MassNotOne on bad input.
@@ -204,7 +195,7 @@ def make(support, probs, *, log_probs=None) -> FiniteDist:
     total = probs.sum()
     if not abs(total - 1.0) <= MASS_TOL:
         raise MassNotOne(f"probabilities sum to {float(total)}, expected 1")
-    return _canonical(support, probs, log_probs)
+    return _canonical(support, probs)
 
 
 def convolve(d1: FiniteDist, d2: FiniteDist, *, cap: int = SUPPORT_CAP) -> FiniteDist:
@@ -351,25 +342,28 @@ def discretize_trunc_gaussian(v: float, t: float, step: float) -> FiniteDist:
 def decay_two_point(n: int, b: float) -> FiniteDist:
     """Two-point test distribution {n -> exp(-b*n), 0 -> 1 - exp(-b*n)}.
 
-    Built through the log-probability path so that masses below the double
-    underflow threshold still evaluate correctly in the CGF.
+    Its two atoms are always canonical, so it is built directly from its
+    log masses, normalised by their log-sum-exp: masses below the double
+    underflow threshold keep their log mass and still evaluate correctly
+    in the CGF.
     """
     if n < 1 or int(n) != n:
         raise BadParams("n must be a positive integer")
-    if not b > 0:
-        raise BadParams("b must be positive")
     n = int(n)
     log_top = -b * n
+    if not -math.inf < log_top < 0.0:
+        raise BadParams("b must be positive, with b*n finite")
     # log(1 - e^{log_top}) without cancellation
     if log_top > -36.0:
         log_bottom = math.log(-math.expm1(log_top))
     else:
         log_bottom = math.log1p(-math.exp(log_top))
-    return _canonical(
-        [0.0, float(n)],
-        [math.exp(log_bottom), math.exp(log_top)],
-        log_probs=[log_bottom, log_top],
-    )
+    lp = np.array([log_bottom, log_top])
+    m = lp.max()
+    lp -= m + np.log(np.sum(np.exp(lp - m)))
+    p = np.exp(lp)
+    p /= p.sum()
+    return FiniteDist(np.array([0.0, float(n)]), p, lp)
 
 
 def floor_dist(d: FiniteDist) -> FiniteDist:

@@ -17,6 +17,9 @@ signed masses (plus two first-moment convolutions at second order), and
 sorts and sums in extended precision only the rows whose bound can beat
 the best value found, lowest bound first (branch and bound). The verdict
 is the full sweep's; the worst gap is within _ROW_TOL = 1e-15 of it.
+Both ways end in the one sweep kernel, _min_gap_rows: the one-row sweep
+passes it every sorted breakpoint, and _exact_runs passes it the flagged
+runs in the row format (counts, d0, i0, lo) that the two share.
 
 large_numbers_n searches for the first n at which the n-fold i.i.d. sums
 become comparable.
@@ -28,7 +31,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .cgf import KOrder, k_dominates, profile_grid, k_a_many
 from .dist import (
     FiniteDist,
@@ -195,7 +197,7 @@ def _conv_gap_sweep(
     t = t[idx]
     j = (s[:, None] * zp).ravel()[idx]
     del idx  # freed before the kernel allocates its extended-precision sums
-    return _kernels.min_gap_rows(t, j, order)
+    return _min_gap_rows(t, j, order)
 
 
 def _row_sweep(u, s, zs, zp, cz, w, bound, order):
@@ -373,7 +375,49 @@ def _exact_runs(u, s, zs, zp, cz, czz, row_lo, row_hi, w, order):
     i0 = 0.0
     if order == 2:
         i0 = (s * ((lo[:, None] - u.astype(np.longdouble)) * cz[k_lo] - czz[k_lo])).sum(axis=1)
-    return _kernels.min_gap_rows(t, j, order, (per_run[keep], d0, i0, lo))
+    return _min_gap_rows(t, j, order, (per_run[keep], d0, i0, lo))
+
+
+def _min_gap_rows(t, jumps, order, rows=None):
+    """(worst value, where) over sorted breakpoints t and their jumps.
+
+    The value at a breakpoint is D (order 1) or its integral (order 2)
+    after every jump at that breakpoint, summed in extended precision
+    (np.longdouble), so the worst value is trustworthy at the 1e-12
+    level. rows=None is the plain sorted sweep: one row that starts from
+    D = 0 and an integral of 0 at t[0]. rows=(counts, d0, i0, lo), as
+    _exact_runs builds it, splits the breakpoints into disjoint t-rows:
+    row r holds counts[r] > 0 consecutive entries, all in [lo[r], the next
+    row's lo), and starts from D = d0[r] and the integral i0[r] at lo[r].
+    """
+    d = jumps.astype(np.longdouble)
+    np.cumsum(d, out=d)
+    if rows is not None:
+        counts, d0, i0, lo = rows
+        starts = np.cumsum(counts) - counts
+        # per row: D before it, less the running sum carried into it
+        shift = d0 - np.concatenate(([0.0], d[starts[1:] - 1]))
+    new = t[1:] != t[:-1]
+    if not new.all():  # only the last entry of a run of equal breakpoints counts
+        run_end = np.append(new, True)
+        if rows is not None:
+            starts = np.concatenate(([0], np.cumsum(run_end)))[starts]
+        d, t = d[run_end], t[run_end]
+    if rows is not None:
+        counts = np.diff(np.append(starts, d.size))
+        d += np.repeat(shift, counts)
+    if order == 1:
+        k = int(np.argmin(d))
+        return float(d[k]), float(t[k])
+    area = np.subtract(t[1:], t[:-1], dtype=np.longdouble)
+    area *= d[:-1]
+    integ = np.zeros(t.size, dtype=np.longdouble)
+    np.cumsum(area, out=integ[1:])
+    if rows is not None:  # every row restarts from its integral at lo
+        base = i0 + np.subtract(t[starts], lo, dtype=np.longdouble) * d0
+        integ += np.repeat(base - integ[starts], counts)
+    k = int(np.argmin(integ))
+    return float(integ[k]), float(t[k])
 
 
 def fosd_with_catalyst(

@@ -148,12 +148,8 @@ def _tail_integral(mu: MixingMeasure, b: float) -> float:
     a = b contributes 0 either way.
     """
     locs, wts = mu.locations, mu.weights
-    if b > 0:
-        sel = locs >= b
-        vals = np.where(np.isinf(locs[sel]), 1.0, 1.0 - b / locs[sel])
-    else:
-        sel = locs <= b
-        vals = np.where(np.isinf(locs[sel]), 1.0, 1.0 - b / locs[sel])
+    sel = locs >= b if b > 0 else locs <= b
+    vals = np.where(np.isinf(locs[sel]), 1.0, 1.0 - b / locs[sel])
     return float(np.dot(wts[sel], vals))
 
 
@@ -190,8 +186,8 @@ def compare(
         grid = np.asarray(list(b_grid), dtype=np.float64)
         if grid.size == 0:
             raise EmptyGrid("b_grid must be nonempty")
-        if np.any(grid == 0.0):
-            raise EmptyGrid("b_grid entries must be nonzero")
+        if np.any(grid == 0.0) or np.isnan(grid).any():
+            raise EmptyGrid("b_grid entries must be nonzero numbers")
     le = True
     ge = True
     le_witness = None

@@ -10,6 +10,7 @@ statistic sum_i lambda_i K_{-r_i} and the harmonic social rate
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -54,8 +55,8 @@ class UtilitySpec:
 
     @staticmethod
     def power(exponent: float) -> "UtilitySpec":
-        if not exponent > 0:
-            raise BadParams("power utility needs a positive exponent")
+        if not 0 < exponent < math.inf:
+            raise BadParams("power utility needs a positive finite exponent")
         return UtilitySpec("power", exponent=exponent)
 
     @staticmethod
@@ -75,12 +76,15 @@ class UtilitySpec:
 
 
 def utility_value(u: UtilitySpec, x: float) -> float:
-    if not x > 0:
-        raise NonpositivePrize(f"prize must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise NonpositivePrize(f"prize must be positive and finite, got {x}")
     if u.kind == "identity":
         return float(x)
     if u.kind == "power":
-        return float(x**u.exponent)
+        try:
+            return float(x**u.exponent)
+        except OverflowError as exc:
+            raise InputError(f"utility of prize {x} overflows") from exc
     if u.kind == "log":
         return float(np.log1p(x))
     if u.kind == "table":
@@ -110,8 +114,8 @@ def time_value(
     """u(x) * exp(-rate * value(mu, T))."""
     if t_dist.support[0] < 0:
         raise NegativeTime("time support must be nonnegative")
-    if not rate > 0:
-        raise BadParams("rate must be positive")
+    if not 0 < rate < math.inf:
+        raise BadParams("rate must be positive and finite")
     return utility_value(u, x) * float(np.exp(-rate * evaluate(mu, t_dist)))
 
 
@@ -121,8 +125,8 @@ class AgentProfile:
     utility: UtilitySpec
 
     def __post_init__(self):
-        if len(self.rates) == 0 or any(not r > 0 for r in self.rates):
-            raise BadParams("need at least one agent with a positive rate")
+        if len(self.rates) == 0 or any(not 0 < r < math.inf for r in self.rates):
+            raise BadParams("need at least one agent, each with a positive finite rate")
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,8 @@ def aggregate(profile: AgentProfile, weights: Sequence[float]) -> SocialPreferen
     rates = np.asarray(profile.rates, dtype=np.float64)
     if w.size != rates.size:
         raise WeightMismatch(f"{w.size} weights for {rates.size} rates")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+    # written so that a NaN weight fails the checks
+    if not (w >= 0).all() or not abs(w.sum() - 1.0) <= 1e-12:
         raise WeightMismatch("weights must be a probability vector")
     keep = w > 0
     statistic = make_measure(-rates[keep], w[keep])
@@ -204,10 +209,13 @@ def indifference_pair(rates: Sequence[float], c: float) -> IndifferencePair:
     m = np.exp(-np.outer(full, cols))
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
-    d = np.linalg.solve(m, rhs)
-    d = d + np.linalg.solve(m, rhs - m @ d)  # one refinement step
+    try:
+        d = np.linalg.solve(m, rhs)
+        d = d + np.linalg.solve(m, rhs - m @ d)  # one refinement step
+    except np.linalg.LinAlgError as exc:  # rates whose exp(-r j) round alike
+        raise IllConditioned(f"Vandermonde matrix is singular: {exc}") from exc
     residual = float(np.max(np.abs(m @ d - rhs)))
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise IllConditioned(f"Vandermonde residual {residual:g} after refinement")
     pos_sum = float(np.maximum(d, 0.0).sum())
     eta = 1.0 / pos_sum
@@ -225,7 +233,7 @@ def indifference_pair(rates: Sequence[float], c: float) -> IndifferencePair:
         lhs = discount_factor(t_dist, r)
         rhs_v = c * discount_factor(s_dist, r)
         worst = max(worst, abs(lhs - rhs_v) / rhs_v)
-    if worst > 1e-10:
+    if not worst <= 1e-10:
         raise IllConditioned(f"indifference residual {worst:g} exceeds 1e-10")
     return IndifferencePair(t_dist, s_dist, float(c), eta, tuple(float(v) for v in d))
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from mastat import dist
+from mastat.errors import MassNotOne
 from mastat.cli import (  # the random laws the test modules import from here
     _random_dist as random_dist,
     _random_measure as random_measure,
@@ -30,7 +33,8 @@ def warm_kernels():
     dist.convolve(d, d)
 
 
-# Oracles for byte-identity tests: convolve and fosd as first written.
+# Oracles for byte-identity tests: convolve, fosd and decay_two_point as
+# first written.
 
 
 def convolve_d1_major(d1, d2):
@@ -38,6 +42,50 @@ def convolve_d1_major(d1, d2):
     vals = (d1.support[:, None] + d2.support[None, :]).ravel()
     wts = (d1.probs[:, None] * d2.probs[None, :]).ravel()
     return dist._canonical(vals, wts)
+
+
+def sort_merge_log_space(support, log_probs):
+    """The log-space canonicalisation decay_two_point once went through:
+    sort, merge snap-clusters with logaddexp so that sub-underflow masses
+    survive, drop -inf masses and renormalise by the log-sum-exp."""
+    support = np.asarray(support, dtype=np.float64).ravel()
+    order = np.argsort(support, kind="stable")
+    support = support[order]
+    log_probs = np.asarray(log_probs, dtype=np.float64).ravel()[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(support) > dist.SNAP_TOL)))
+    merged_lp = np.logaddexp.reduceat(log_probs, starts)
+    ends = np.append(starts[1:], support.size) - 1
+    merged_v = np.where(
+        support[starts] == support[ends],
+        support[starts],
+        [
+            np.average(support[s:e + 1], weights=np.exp(log_probs[s:e + 1] - log_probs[s:e + 1].max()))
+            for s, e in zip(starts, ends)
+        ],
+    )
+    keep = merged_lp > -np.inf
+    merged_v = merged_v[keep]
+    merged_lp = merged_lp[keep]
+    if merged_v.size == 0:
+        raise MassNotOne("all atoms have zero mass")
+    m = np.max(merged_lp)
+    total = m if not np.isfinite(m) else m + np.log(np.sum(np.exp(merged_lp - m)))
+    merged_lp = merged_lp - total
+    merged_p = np.exp(merged_lp)
+    s = merged_p.sum()
+    if s > 0:
+        merged_p = merged_p / s
+    return dist.FiniteDist(np.asarray(merged_v, dtype=np.float64), merged_p, merged_lp)
+
+
+def decay_two_point_log_space(n, b):
+    """decay_two_point built through sort_merge_log_space."""
+    log_top = -b * n
+    if log_top > -36.0:
+        log_bottom = math.log(-math.expm1(log_top))
+    else:
+        log_bottom = math.log1p(-math.exp(log_top))
+    return sort_merge_log_space([0.0, float(n)], [log_bottom, log_top])
 
 
 def fosd_four_searches(d1, d2, tol=0.0):

@@ -188,6 +188,19 @@ class TestVerdictsAndCodes:
         assert cli.run(["dominance", str(path), files["X"]]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("x, rate, utility", [
+        ("2", "inf", "identity"),  # exp(-inf * K) is nan where K = 0
+        ("inf", "1", "identity"),  # inf times a vanishing discount is nan
+        ("1e6", "1", "power:400"),  # used to end in an OverflowError traceback
+        ("2", "1", "power:inf"),
+    ])
+    def test_time_value_non_finite_is_input_error(self, capsys, files, x, rate, utility):
+        argv = ["time-value", "--x", x, "--dist", files["X"], "--rate", rate,
+                "--measure", files["m0"], "--utility", utility]
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_table_point_without_u_is_input_error(self, capsys, files):
         path = files["tmp"] / "table.json"
         path.write_text(json.dumps({"points": [{"x": 1.0, "u": 1.0}, {"x": 3.0}]}))
@@ -228,12 +241,27 @@ class TestVerdictsAndCodes:
             {"rates": [1.0], "weights": 1.0},
             {"rates": [1.0], "weights": [None]},
             [1.0, 1.0],
+            {"rates": [1, 2], "weights": [math.nan, 1.0]},
+            {"rates": [math.inf], "weights": [1.0]},  # 1 / (1 / inf) divided by zero
         ],
     )
     def test_malformed_aggregate_is_input_error(self, capsys, files, obj):
         path = files["tmp"] / "agents.json"
         path.write_text(json.dumps(obj))
         assert cli.run(["aggregate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+    def test_compare_nan_grid_is_input_error(self, capsys, files):
+        # used to print "order": "eq" for two different measures and exit 0
+        assert cli.run(["compare", files["m2"], files["m13"], "--b-grid", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+    def test_indiff_pair_singular_matrix_is_error(self, capsys):
+        # exp(-1e-300 j) rounds to 1, so the Vandermonde matrix is singular;
+        # it used to end in an uncaught LinAlgError traceback
+        assert cli.run(["indiff-pair", "--rates", "1e-300,1", "--c", "0.5"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 

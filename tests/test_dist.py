@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastat import _kernels, dist
+from mastat import dist
 from mastat.errors import (
     BadInterval,
     BadParams,
@@ -18,7 +18,13 @@ from mastat.errors import (
     SupportBlowup,
 )
 
-from conftest import convolve_d1_major, random_dist, same_bytes, seeded_law
+from conftest import (
+    convolve_d1_major,
+    decay_two_point_log_space,
+    random_dist,
+    same_bytes,
+    seeded_law,
+)
 
 
 def total_variation(d1, d2):
@@ -306,6 +312,20 @@ class TestDecayTwoPoint:
         with pytest.raises(BadParams):
             dist.decay_two_point(1, 0.0)
 
+    @pytest.mark.parametrize("b", [math.inf, math.nan, 1e308, -1.0])
+    def test_b_with_no_finite_top_mass_disallowed(self, b):
+        with pytest.raises(BadParams):
+            dist.decay_two_point(4096, b)
+
+    def test_same_bytes_as_the_log_space_merge(self):
+        ns = np.unique(np.geomspace(1, 4096, 80).astype(int))
+        bs = np.concatenate((np.geomspace(1e-8, 50.0, 60), [0.25, 1.0, math.log(2)]))
+        for n in ns:
+            for b in bs:
+                want = decay_two_point_log_space(int(n), float(b))
+                assert same_bytes(dist.decay_two_point(int(n), float(b)), want), (n, b)
+        assert dist.decay_two_point(4096, 1.0).probs[-1] == 0.0  # the underflow case
+
 
 class TestFloor:
     def test_basic(self):
@@ -373,13 +393,13 @@ class TestCanonicalEarlyReturn:
     @pytest.fixture
     def merges(self, monkeypatch):
         calls = []
-        real = _kernels.merge_sorted
+        real = dist._merge_sorted
 
         def counting(values, weights, tol):
             calls.append(values.size)
             return real(values, weights, tol)
 
-        monkeypatch.setattr(_kernels, "merge_sorted", counting)
+        monkeypatch.setattr(dist, "_merge_sorted", counting)
         return calls
 
     @staticmethod
@@ -522,10 +542,10 @@ class TestConvolveLayout:
             finally:
                 inside.pop()
 
-        def sort_merge(support, probs, log_probs=None):
+        def sort_merge(support, probs):
             if not inside:
                 seen.append(support)
-            return real_sort(support, probs, log_probs)
+            return real_sort(support, probs)
 
         monkeypatch.setattr(dist, "_canonical", canonical)
         monkeypatch.setattr(dist, "_sort_merge", sort_merge)

@@ -4,8 +4,11 @@ The snap-merge is checked against a plain loop. The dominance sweep is
 checked against the sweep as first written: breakpoints laid out one row
 per support point of the signed masses, one global stable argsort, then a
 copy to extended precision before the running sum. The row-bounded sweep
-must give the oracle's verdict and a value within 1e-15 of it.
+must give the oracle's verdict and a value within 1e-15 of it, and its
+row bound must lie below the same bound computed in exact arithmetic.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,7 +87,7 @@ def _random_case(rng, n):
 def test_merge_sorted_paths_agree(seed):
     rng = np.random.default_rng(seed)
     vals, wts = _random_case(rng, 400)
-    v1, w1 = _kernels.merge_sorted(vals, wts, 1e-9)
+    v1, w1 = dist._merge_sorted(vals, wts, 1e-9)
     v2, w2 = _merge_sorted_loop(vals, wts, 1e-9)
     assert v1.tolist() == pytest.approx(v2.tolist(), abs=1e-15)
     assert w1.tolist() == pytest.approx(w2.tolist(), abs=1e-15)
@@ -103,8 +106,8 @@ def test_sweep_paths_agree(seed):
         t = np.sort(t)
     j = rng.normal(0, 0.01, n)
     j -= j.mean()  # jumps of a cdf difference sum to zero
-    assert _kernels.min_gap_rows(t, j, 1) == _min_cdf_gap_oracle(t, j)
-    assert _kernels.min_gap_rows(t, j, 2) == _min_integrated_gap_oracle(t, j)
+    assert dominance._min_gap_rows(t, j, 1) == _min_cdf_gap_oracle(t, j)
+    assert dominance._min_gap_rows(t, j, 2) == _min_integrated_gap_oracle(t, j)
 
 
 def _random_pairs():
@@ -288,6 +291,79 @@ def test_row_bound_below_every_row():
             assert (lb <= worst + 1e-15).all()
 
 
+def _exact_row_bounds(u, s, zs, zp, w, order):
+    """_row_bounds's bound forms on every row, over the whole catalyst as
+    the core, in exact fractions.Fraction arithmetic on the same bins.
+
+    At order 1 the prefix form, P over c <= m - 2 minus N over c <= m, and
+    the suffix form are equal in exact arithmetic; at order 2 the bound is
+    the integral at m w over the bin sums c <= m - 2, less w times N of bin
+    sum m - 1, plus w * min(0, the order-1 bound).
+    """
+    F = Fraction
+    bu, bz = np.floor(u / w), np.floor(zs / w)
+    iu, iz = (bu - bu[0]).astype(int).tolist(), (bz - bz[0]).astype(int).tolist()
+    n_u, n_z = iu[-1] + 1, iz[-1] + 1
+    size = n_u + n_z + 1
+    fs, fw = [F(v) for v in s.tolist()], F(w)
+
+    def bins(idx, vals, n):
+        out = [F(0)] * n
+        for i, v in zip(idx, vals):
+            out[i] += v
+        return out
+
+    def conv(a, b):
+        out = [F(0)] * size
+        b = [(j, bj) for j, bj in enumerate(b) if bj]
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in b:
+                    out[i + j] += ai * bj
+        return out
+
+    def upto(vals, lag):  # entry m: vals summed over c <= m - lag
+        out, acc = [], F(0)
+        for m in range(size):
+            if m - lag >= 0:
+                acc += vals[m - lag]
+            out.append(acc)
+        return out
+
+    pz = bins(iz, [F(v) for v in zp.tolist()], n_z)
+    p = conv(bins(iu, [max(v, 0) for v in fs], n_u), pz)
+    q = conv(bins(iu, [max(-v, 0) for v in fs], n_u), pz)
+    lb = [a - b for a, b in zip(upto(p, 2), upto(q, 0))]
+    if order == 1:
+        return lb
+    off_u = [v * (F(x) - F(b) * fw) for v, x, b in zip(fs, u.tolist(), bu.tolist())]
+    off_z = [F(v) * (F(x) - F(b) * fw) for v, x, b in zip(zp.tolist(), zs.tolist(), bz.tolist())]
+    j1 = [a + b for a, b in zip(conv(bins(iu, off_u, n_u), pz),
+                                conv(bins(iu, fs, n_u), bins(iz, off_z, n_z)))]
+    cum_j = upto([a - b for a, b in zip(p, q)], 2)
+    g = [fw * (a + b) - c for a, b, c in zip(upto(cum_j, 0), cum_j, upto(j1, 2))]
+    q_prev = [F(0)] + q[:-1]
+    return [gm - fw * qm + fw * min(lm, F(0)) for gm, qm, lm in zip(g, q_prev, lb)]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_row_bound_allows_for_rounding(order):
+    # the float bound never exceeds its exact value on any row: with the
+    # rounding allowance rho of _row_bounds set to 0 this fails
+    rng = np.random.default_rng(306)
+    for _ in range(3):
+        x, y = random_dist(rng, 8, 40), random_dist(rng, 8, 40)
+        u, s = dominance._signed_masses(x, y)
+        z = dist.discretize_trunc_gaussian(rng.uniform(0.5, 2.0), 6.0, 12.0 / 257)
+        zs, zp = z.support, z.probs
+        w = 2.0 ** np.floor(np.log2(12.0 / 257 / 8))  # rows an eighth of a cell wide
+        cz = np.concatenate(([0.0], np.cumsum(zp))).astype(np.longdouble)
+        _, lb = dominance._row_bounds(u, s, zs, zp, cz, 0, zs.size, 100.0, w, order)
+        exact = _exact_row_bounds(u, s, zs, zp, w, order)
+        assert len(exact) == lb.size
+        assert all(Fraction(float(a)) <= b for a, b in zip(lb, exact))
+
+
 def test_count_below_counts_rounded_sums():
     # edges placed on rounded sums fl(u_i + z_k) and one ulp either side:
     # searching z for edge - u_i alone misplaces some of them
@@ -329,7 +405,7 @@ def test_min_cdf_gap_handles_runs():
     # three jumps at the same breakpoint must be netted before the min
     t = np.array([0.0, 0.0, 0.0, 1.0])
     j = np.array([-0.5, -0.5, 1.0, 0.0])
-    worst, where = _kernels.min_gap_rows(t, j, 1)
+    worst, where = dominance._min_gap_rows(t, j, 1)
     assert worst == 0.0
 
 
@@ -341,7 +417,7 @@ def test_compensated_accumulation_precision():
     j = np.empty(n)
     j[:-1] = np.tile([1e-9, -1e-9], (n - 1) // 2)
     j[-1] = 0.25
-    worst, _ = _kernels.min_gap_rows(t, j, 1)
+    worst, _ = dominance._min_gap_rows(t, j, 1)
     assert worst == pytest.approx(0.0, abs=1e-13)
 
 
