@@ -20,13 +20,25 @@ Both give the bytes of the plain index-major evaluation: numpy's pairwise
 sum adds fewer than 8 elements one after another, exactly as the
 row-by-row reduction does, and splits 8 or more across 8 accumulators,
 which only the index-major memory order reproduces.
+
+k_dominates certifies K_a(X) > K_a(Y) + margin on the whole index
+interval. On the profile grid, a gap below -_FAIL_TOL is FAILS (witness:
+the first such index) and one at or below margin is WEAK. As a -> K_a is
+nondecreasing, the gap on a cell [a_k, a_(k+1)] is at least
+K_(a_k)(X) - K_(a_(k+1))(Y), from values already computed. Cells where
+this bracket does not clear the margin are halved in t = (2/pi) atan(a),
+where the infinite cells are finite, and each round's midpoints (one
+k_a_many call per law) are checked as the grid is. STRICT needs every
+bracket clear; cells still open after _HALVINGS rounds give WEAK. The
+bracket has no allowance for the rounding of K_a: no case is known where
+it flips one, and the bound is easiest to state on a unit-scale law.
 """
 
 import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +53,12 @@ _HUGE_A = 1e300
 
 #: laws with fewer atoms than this are evaluated atom-major (see module doc).
 _ATOM_MAJOR_BELOW = 8
+
+#: a K gap below -_FAIL_TOL is a failure of dominance, not rounding
+_FAIL_TOL = 1e-12
+
+#: halving rounds of the bracket check before it settles for WEAK
+_HALVINGS = 40
 
 
 def k_a(d: FiniteDist, a: float) -> float:
@@ -76,9 +94,10 @@ def k_a_many(d: FiniteDist, avec: np.ndarray) -> np.ndarray:
             if math.isfinite(m.variance):
                 out[near] = m.mean + avec[near] * m.variance / 2.0
             else:
-                # the variance overflowed: a*var/2 is the endpoint already in
-                # out for a != 0, and 0*inf at a = 0, where K_0 is the mean
-                out[avec == 0] = m.mean
+                # the variance overflowed: take it of X / scale, which is finite
+                xs = d.support / scale
+                var = float(np.dot(d.probs, (xs - np.dot(d.probs, xs)) ** 2))
+                out[near] = m.mean + (avec[near] * scale) * var * scale / 2.0
         reg = ~near & (absa <= _HUGE_A)
         out[reg] = _k_direct(d, avec[reg])
     return out.clip(m.lo, m.hi)
@@ -118,21 +137,23 @@ def profile_grid(n_grid: int = 201) -> np.ndarray:
     n_grid is bumped to the next odd integer so the mean point a = 0 is on
     the grid. The array is built once per size and is read-only.
     """
-    if n_grid < 3:
-        raise ValueError("n_grid must be at least 3")
-    if n_grid % 2 == 0:
-        n_grid += 1
-    return _grid(n_grid)
+    return _grid(n_grid)[1]
 
 
 @functools.lru_cache(maxsize=32)
-def _grid(n_grid: int) -> np.ndarray:
-    t = np.linspace(-1.0, 1.0, n_grid + 2)[1:-1]
-    interior = np.tan(np.pi * t / 2.0)
-    interior[n_grid // 2] = 0.0
+def _grid(n_grid: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, profile_grid(n_grid)): the grid is tan(pi t / 2) on an even
+    t-grid over [-1, 1], whose ends t = -1 and 1 stand for -inf and +inf."""
+    if n_grid < 3:
+        raise BadParams("n_grid must be at least 3")
+    if n_grid % 2 == 0:
+        n_grid += 1
+    t = np.linspace(-1.0, 1.0, n_grid + 2)
+    interior = np.tan(np.pi * t[1:-1] / 2.0)
+    t[n_grid // 2 + 1] = interior[n_grid // 2] = 0.0
     grid = np.concatenate(([-np.inf], interior, [np.inf]))
-    grid.flags.writeable = False
-    return grid
+    t.flags.writeable = grid.flags.writeable = False
+    return t, grid
 
 
 def k_profile(d: FiniteDist, n_grid: int = 201) -> KProfile:
@@ -163,19 +184,39 @@ def k_dominates(
     n_grid: int = 201,
     margin: float = 0.0,
 ) -> KDominanceResult:
-    """Grid certification of K_a(X) > K_a(Y) + margin for all a.
+    """Certify K_a(X) > K_a(Y) + margin for every a in [-inf, +inf], from
+    the profile grid of n_grid points and the bracket (see module doc)."""
+    return _k_dominates_on(dx, dy, n_grid, margin, nonpositive=False)
 
-    STRICT needs the gap above `margin` at every grid point including the
-    endpoints and zero. FAILS reports the first grid point whose gap drops
-    below -1e-12 (this verdict is complete for the grid; STRICT is sound
-    only up to grid resolution between sample points).
-    """
-    grid = profile_grid(n_grid)
-    gap = k_a_many(dx, grid) - k_a_many(dy, grid)
-    bad = np.flatnonzero(gap < -1e-12)
-    if bad.size:
-        i = int(bad[0])
-        return KDominanceResult(KOrder.FAILS, float(grid[i]), float(gap.min()))
-    if np.all(gap > margin):
-        return KDominanceResult(KOrder.STRICT, None, float(gap.min()))
-    return KDominanceResult(KOrder.WEAK, None, float(gap.min()))
+
+def _k_dominates_on(dx, dy, n_grid, margin, nonpositive):
+    """k_dominates, on [-inf, 0] only if nonpositive. WEAK names the index
+    with the smallest gap sampled, and min_gap is that gap."""
+    t, a = _grid(n_grid)
+    if nonpositive:
+        t, a = t[: t.size // 2 + 1], a[: a.size // 2 + 1]
+    kx, ky = k_a_many(dx, a), k_a_many(dy, a)
+    gap = kx - ky
+    best = (math.inf, math.nan)
+    for rounds in range(_HALVINGS + 1):
+        k = int(np.argmin(gap))
+        best = min(best, (float(gap[k]), float(a[k])))
+        bad = np.flatnonzero(gap < -_FAIL_TOL)
+        if bad.size:
+            return KDominanceResult(KOrder.FAILS, float(a[bad[0]]), best[0])
+        if best[0] <= margin:
+            break
+        # cells [a_i, a_(i+1)] between neighbouring samples whose bracket
+        # K_(a_i)(X) - K_(a_(i+1))(Y) does not clear the margin
+        cells = np.flatnonzero(kx[:-1] - ky[1:] <= margin)
+        if not cells.size:
+            return KDominanceResult(KOrder.STRICT, None, best[0])
+        if rounds == _HALVINGS:
+            break
+        at = cells + 1
+        mid = (t[cells] + t[at]) / 2.0
+        a = np.tan(np.pi * mid / 2.0)
+        mx, my = k_a_many(dx, a), k_a_many(dy, a)
+        gap = mx - my
+        t, kx, ky = np.insert(t, at, mid), np.insert(kx, at, mx), np.insert(ky, at, my)
+    return KDominanceResult(KOrder.WEAK, best[1], best[0])

@@ -4,10 +4,16 @@ fosd / sosd decide first and second order dominance exactly on merged
 supports. find_catalyst_first / find_catalyst_second construct an
 independent truncated-Gaussian Z such that X + Z dominates Y + Z, under
 the hypothesis that the CGF profile of X strictly dominates that of Y
-(everywhere, or on the nonpositive indices for the second order). The
-returned certificate is machine-checked: the dominance sweep over every
-breakpoint of the convolved cdfs is part of construction, not a test-only
-step, and `verified` is set only when the worst gap clears -1e-12.
+(everywhere, or on the nonpositive indices for the second order). Both
+go through _construct, which checks the hypothesis with the one check in
+cgf. Its STRICT verdict holds on the whole index interval, not only on
+the profile grid: a -> K_a is nondecreasing, so each grid cell is
+bracketed by K at its ends and halved until the bracket clears the
+margin, for at most 40 rounds, with no allowance for the rounding of K
+(see the cgf module doc). The returned certificate is machine-checked:
+the dominance sweep over every breakpoint of the convolved cdfs is part
+of construction, not a test-only step, and `verified` is set only when
+the worst gap clears -1e-12.
 
 The sweep does not sort every breakpoint once there are more than
 _ONE_ROW_MAX of them. It bins the merged support and the catalyst onto
@@ -31,13 +37,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cgf import KOrder, k_dominates, profile_grid, k_a_many
+from .cgf import KOrder, _k_dominates_on
 from .dist import (
     FiniteDist,
     cdf,
     convolve,
     discretize_trunc_gaussian,
-    make,
     merged_support,
     shift,
 )
@@ -440,19 +445,8 @@ def verify_certificate(
     cert: CatalystCertificate, dx: FiniteDist, dy: FiniteDist
 ) -> float:
     """Re-run the dominance sweep for a certificate; returns the worst gap."""
-    if cert.order == "first":
-        worst, _ = fosd_with_catalyst(dx, dy, cert.catalyst)
-    else:
-        worst, _ = sosd_with_catalyst(dx, dy, cert.catalyst)
-    return worst
-
-
-_POINT_ZERO = make([0.0], [1.0])
-
-
-def _degenerate_certificate(order: str, worst: float) -> CatalystCertificate:
-    params = CatalystParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return CatalystCertificate(_POINT_ZERO, order, params, True, worst)
+    u, s = _signed_masses(dx, dy)
+    return _conv_gap_sweep(u, s, cert.catalyst, 1 if cert.order == "first" else 2)[0]
 
 
 def _band_positive_eps(
@@ -469,13 +463,9 @@ def _band_positive_eps(
     eps = 0.995 * cap
     for _ in range(60):
         lo_band = _min_sigma_on(u, sigma, -n_half, -n_half + eps / 2.0)
-        if second:
-            delta = _min_sigma_on(u, sigma, -n_half + eps / 4.0, -n_half + eps / 2.0)
-        else:
-            delta = min(
-                _min_sigma_on(u, sigma, -n_half + eps / 4.0, -n_half + eps / 2.0),
-                _min_sigma_on(u, sigma, n_half - eps / 2.0, n_half - eps / 4.0),
-            )
+        delta = _min_sigma_on(u, sigma, -n_half + eps / 4.0, -n_half + eps / 2.0)
+        if not second:
+            delta = min(delta, _min_sigma_on(u, sigma, n_half - eps / 2.0, n_half - eps / 4.0))
         if delta > 0 and lo_band >= 0:
             return eps, delta
         eps /= 2.0
@@ -483,41 +473,50 @@ def _band_positive_eps(
 
 
 def _min_sigma_on(u: np.ndarray, sigma: np.ndarray, lo: float, hi: float) -> float:
-    """Minimum of the step function sigma over [lo, hi]."""
-    vals = []
-    i = np.searchsorted(u, lo, side="right") - 1
-    if i >= 0:
-        vals.append(sigma[i])
-    elif lo < u[0]:
-        vals.append(0.0)
-    inside = sigma[(u > lo) & (u <= hi)]
-    if inside.size:
-        vals.append(inside.min())
-    return float(min(vals)) if vals else 0.0
+    """Minimum over [lo, hi] of the step function that is sigma[i] on
+    [u_i, u_(i+1)) and 0 before u_0."""
+    i, j = np.searchsorted(u, (lo, hi), side="right")
+    vals = sigma[i - 1 : j] if i else np.append(sigma[:j], 0.0)
+    return float(vals.min())
 
 
-def _construct(dx: FiniteDist, dy: FiniteDist, order: int) -> CatalystCertificate:
-    """Shared first/second order construction, following the proof recipe:
+def _construct(
+    dx: FiniteDist, dy: FiniteDist, order: int, margin: float, n_grid: int
+) -> CatalystCertificate:
+    """Shared first/second order construction, following the proof recipe.
+
+    Check strict CGF dominance at margin (on [-inf, 0] at order 2), and
+    return Z = point mass at 0 if X already dominates Y. Otherwise
     translate, pick (eps, delta) from the end bands, set the exponent cut
     A by exp(eps*A/4) >= 8N/(eps*delta), then escalate the variance V
     (doubling, verification-driven) with truncation T = A*V + N, refining
     the catalyst grid up to 2**14 atoms at each V.
     """
+    kres = _k_dominates_on(dx, dy, n_grid, margin, nonpositive=order == 2)
+    if kres.order is not KOrder.STRICT:
+        error = NoKDominance if order == 1 else NoKDominanceOnNegatives
+        where = "" if order == 1 else " on nonpositive indices"
+        raise error(
+            f"CGF dominance{where} is not strict at margin {margin:g} "
+            f"(min gap {kres.min_gap:g})",
+            witness=kres.witness,
+        )
+    name = "first" if order == 1 else "second"
+    direct = fosd(dx, dy) if order == 1 else sosd(dx, dy)
+    if direct.dominates:
+        worst = direct.min_gap if order == 1 else direct.min_integral
+        params = CatalystParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        point_zero = FiniteDist(np.zeros(1), np.ones(1), np.zeros(1))
+        return CatalystCertificate(point_zero, name, params, True, worst)
     mx, my = dx.support, dy.support
+    # normalize min[Y'] = -N and max[X'] = N (order 1) or everything
+    # inside [-N, N] (order 2)
+    top = mx[-1] if order == 1 else max(mx[-1], my[-1])
+    n_half = (top - my[0]) / 2.0
+    b = -(top + my[0]) / 2.0
+    cap = mx[0] - my[0]
     if order == 1:
-        # normalize min[Y'] = -N, max[X'] = N
-        n_half = (mx[-1] - my[0]) / 2.0
-        b = -(mx[-1] + my[0]) / 2.0
-        gap_lo = mx[0] - my[0]
-        gap_hi = mx[-1] - my[-1]
-        cap = min(gap_lo, gap_hi)
-    else:
-        # normalize min[Y'] = -N with everything inside [-N, N]
-        top = max(mx[-1], my[-1])
-        n_half = (top - my[0]) / 2.0
-        b = -(top + my[0]) / 2.0
-        gap_lo = mx[0] - my[0]
-        cap = gap_lo
+        cap = min(cap, mx[-1] - my[-1])
     if cap <= 0 or n_half <= 0:
         raise DegenerateGap(
             "endpoint gaps are not positive; the translation normalization "
@@ -550,9 +549,7 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int) -> CatalystCertificat
                 params = CatalystParams(
                     n_half, eps, delta, a_cut, variance, trunc, step
                 )
-                return CatalystCertificate(
-                    z, "first" if order == 1 else "second", params, True, worst
-                )
+                return CatalystCertificate(z, name, params, True, worst)
         variance *= 2.0
     raise BudgetExhausted(
         f"catalyst variance escalation exhausted (best gap {best_gap:g})",
@@ -568,21 +565,12 @@ def find_catalyst_first(
 ) -> CatalystCertificate:
     """Construct an independent Z with X + Z >=_1 Y + Z.
 
-    Requires strict CGF dominance of X over Y at `margin` on the check
-    grid; raises NoKDominance (with witness) otherwise. If X already
-    dominates Y the certificate is degenerate (Z = point mass at 0).
+    Requires K_a(X) > K_a(Y) + margin for every a, certified by
+    cgf.k_dominates from the n_grid-point profile grid; raises
+    NoKDominance (with witness) otherwise. If X already dominates Y the
+    certificate is degenerate (Z = point mass at 0).
     """
-    kres = k_dominates(dx, dy, n_grid=n_grid, margin=margin)
-    if kres.order is not KOrder.STRICT:
-        raise NoKDominance(
-            f"CGF dominance is not strict at margin {margin:g} "
-            f"(min gap {kres.min_gap:g})",
-            witness=kres.witness,
-        )
-    direct = fosd(dx, dy)
-    if direct.dominates:
-        return _degenerate_certificate("first", direct.min_gap)
-    return _construct(dx, dy, 1)
+    return _construct(dx, dy, 1, margin, n_grid)
 
 
 def find_catalyst_second(
@@ -593,22 +581,11 @@ def find_catalyst_second(
 ) -> CatalystCertificate:
     """Construct an independent Z with X + Z >=_2 Y + Z.
 
-    Requires K_a(X) > K_a(Y) + margin for every grid index a <= 0
-    (including -inf and 0)."""
-    grid = profile_grid(n_grid)
-    neg = grid[grid <= 0]
-    gap = k_a_many(dx, neg) - k_a_many(dy, neg)
-    bad = np.flatnonzero(gap <= margin)
-    if bad.size:
-        raise NoKDominanceOnNegatives(
-            f"CGF dominance on nonpositive indices is not strict at margin "
-            f"{margin:g}",
-            witness=float(neg[int(bad[0])]),
-        )
-    direct = sosd(dx, dy)
-    if direct.dominates:
-        return _degenerate_certificate("second", direct.min_integral)
-    return _construct(dx, dy, 2)
+    Requires K_a(X) > K_a(Y) + margin for every a in [-inf, 0], certified
+    as in find_catalyst_first; raises NoKDominanceOnNegatives otherwise.
+    If X already dominates Y the certificate is degenerate.
+    """
+    return _construct(dx, dy, 2, margin, n_grid)
 
 
 def large_numbers_n(

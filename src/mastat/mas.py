@@ -186,8 +186,8 @@ def compare(
         grid = np.asarray(list(b_grid), dtype=np.float64)
         if grid.size == 0:
             raise EmptyGrid("b_grid must be nonempty")
-        if np.any(grid == 0.0) or np.isnan(grid).any():
-            raise EmptyGrid("b_grid entries must be nonzero numbers")
+        if np.any(grid == 0.0) or not np.isfinite(grid).all():
+            raise EmptyGrid("b_grid entries must be nonzero finite numbers")
     le = True
     ge = True
     le_witness = None

@@ -9,11 +9,10 @@ statistic sum_i lambda_i K_{-r_i} and the harmonic social rate
 1/r = sum_i lambda_i / r_i.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -349,17 +348,25 @@ class GambleGrid:
         m = round(1.0 / self.prob_step)
         if abs(m * self.prob_step - 1.0) > 1e-12 or m < 1:
             raise BadParams("prob_step must divide 1")
-        k = len(self.values)
-        out = []
-        for combo in itertools.product(range(m + 1), repeat=k):
-            if sum(combo) != m:
-                continue
-            support = [v for v, c in zip(self.values, combo) if c > 0]
-            if not support or len(support) > self.max_support:
-                continue
-            probs = [c * self.prob_step for c in combo if c > 0]
-            out.append(make(support, probs))
-        return out
+        return [
+            make([self.values[i] for i in where], [c * self.prob_step for c in sizes])
+            for where, sizes in _compositions(m, len(self.values), self.max_support)
+        ]
+
+
+def _compositions(m: int, k: int, parts: int, start: int = 0) -> Iterator[tuple]:
+    """(positions, sizes) of the nonzero entries of the k-tuples of
+    nonnegative integers summing to m >= 1, with at most `parts` nonzero
+    entries and none before `start`, in the tuples' lexicographic order (a
+    later first nonzero entry comes first, then a smaller one, and so on)."""
+    if parts < 1:
+        return
+    for p in range(k - 1, start - 1, -1):
+        if parts > 1:
+            for c in range(1, m):
+                for where, sizes in _compositions(m - c, k, parts - 1, p + 1):
+                    yield (p,) + where, (c,) + sizes
+        yield (p,), (m,)
 
 
 def median(d: FiniteDist) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from mastat import cgf, dist
 from mastat.errors import BadParams
-from conftest import random_dist
+from conftest import grid_miss_pair, random_dist
 
 
 def _lncosh1_reference():
@@ -32,6 +32,16 @@ class TestKa:
             cgf.k_a(d, np.nan)
         with pytest.raises(BadParams):
             cgf.k_a_many(d, np.array([-1.0, np.nan, 2.0]))
+
+    def test_near_zero_index_when_variance_overflows(self):
+        # mean + a var / 2, with the variance taken of X / scale; the
+        # overflowed variance used to give the support's endpoints here
+        sym = dist.make([-1e200, 1e200], [0.5, 0.5])
+        assert cgf.k_a(sym, 1e-300) == pytest.approx(5e99, rel=1e-12)
+        skew = dist.make([-1e200, 3e200], [0.25, 0.75])
+        vals = [cgf.k_a(skew, a) for a in (-1e-300, 0.0, 1e-300)]
+        assert vals[0] <= vals[1] <= vals[2]
+        assert vals == pytest.approx([2e200] * 3, rel=1e-12)
 
     def test_mean_at_zero_when_variance_overflows(self):
         for support, mean in (([-1e200, 1e200], 0.0), ([-1e200, 3e200], 1e200)):
@@ -143,6 +153,11 @@ class TestProfile:
         grid = cgf.profile_grid(10)
         assert 0.0 in grid and grid.size == 13
 
+    def test_too_small_grid_is_bad_params(self):
+        for n_grid in (2, 0, -1):
+            with pytest.raises(BadParams):
+                cgf.profile_grid(n_grid)
+
 
 class TestKDominates:
     def test_shift_is_strict_up_to_shift(self):
@@ -168,6 +183,50 @@ class TestKDominates:
         assert res.witness is not None
         # the witness really is a failure point
         assert cgf.k_a(lo, res.witness) < cgf.k_a(hi, res.witness) - 1e-12
+
+    def test_weak_names_the_smallest_sampled_gap(self):
+        d = random_dist(np.random.default_rng(19))
+        up = dist.shift(d, 1.0)
+        res = cgf.k_dominates(up, d, margin=1.1)
+        grid = cgf.profile_grid()
+        gap = cgf.k_a_many(up, grid) - cgf.k_a_many(d, grid)
+        assert res.order is cgf.KOrder.WEAK
+        assert res.witness == grid[np.argmin(gap)] and res.min_gap == gap.min()
+
+    def test_dip_between_grid_points_fails(self):
+        x, y = grid_miss_pair()
+        grid = cgf.profile_grid()
+        assert (cgf.k_a_many(x, grid) - cgf.k_a_many(y, grid)).min() > 1e-6
+        res = cgf.k_dominates(x, y, margin=1e-6)
+        assert res.order is cgf.KOrder.FAILS
+        assert 21.42 < res.witness < 32.14
+        assert cgf.k_a(x, res.witness) < cgf.k_a(y, res.witness) - 1e-12
+        assert res.min_gap < -1e-12
+
+    def test_open_cells_after_the_last_round_are_weak(self, monkeypatch):
+        monkeypatch.setattr(cgf, "_HALVINGS", 0)
+        res = cgf.k_dominates(*grid_miss_pair(), margin=1e-6)
+        assert res.order is cgf.KOrder.WEAK and res.min_gap > 1e-6
+
+    def test_strict_holds_between_grid_points(self):
+        """The two-top-atom family X = {x0: 1 - p, 1: p}, Y = {y0: 1 - q,
+        1 - d: q} with q > p, where the gap can dip between grid points at
+        large a: every STRICT verdict clears the margin on a 200,001-point
+        t-grid."""
+        t = np.linspace(-1.0, 1.0, 200_001)
+        dense = np.tan(np.pi * t / 2.0)
+        dense[[0, -1]] = -np.inf, np.inf
+        rng = np.random.default_rng(1)
+        strict = 0
+        for _ in range(100):
+            x0, p, y0, f, d = rng.uniform([0.5, 0.01, -1.0, 1.0, 0.0], [0.95, 0.1, 0.0, 5.0, 0.05])
+            x = dist.make([x0, 1.0], [1.0 - p, p])
+            y = dist.make([y0, 1.0 - d], [1.0 - f * p, f * p])
+            if cgf.k_dominates(x, y, margin=1e-6).order is cgf.KOrder.STRICT:
+                strict += 1
+                gap = cgf.k_a_many(x, dense) - cgf.k_a_many(y, dense)
+                assert gap.min() > 1e-6, (x, y)
+        assert strict >= 20
 
 
 def _fresh_grid(n_grid):

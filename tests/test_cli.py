@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mastat import cli, dist
+from conftest import grid_miss_pair
 
 
 @pytest.fixture
@@ -60,6 +61,20 @@ class TestVerdictsAndCodes:
     def test_catalyst_no_hypothesis(self, capsys, files):
         code = cli.run(["catalyst", files["X"], files["X"]])
         assert code == 1
+
+    def test_catalyst_dip_between_grid_points(self, capsys, files):
+        # the K gap clears the margin at every grid point but not between;
+        # both orders used to print a verified certificate and exit 0
+        x, y = grid_miss_pair()
+        path = {}
+        for name, d in (("x", x), ("y", y), ("-x", dist.negate(x)), ("-y", dist.negate(y))):
+            path[name] = files["tmp"] / f"grid-miss{name}.json"
+            path[name].write_text(json.dumps(cli.dist_to_dict(d)))
+        for order, d1, d2 in (("1", "x", "y"), ("2", "-y", "-x")):
+            argv = ["catalyst", str(path[d1]), str(path[d2]), "--order", order]
+            assert cli.run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "witness a =" in captured.err
 
     def test_phi_mean(self, capsys, files):
         code, obj = run_json(
@@ -253,10 +268,13 @@ class TestVerdictsAndCodes:
         assert captured.err.startswith("error:") and captured.out == ""
 
     def test_compare_nan_grid_is_input_error(self, capsys, files):
-        # used to print "order": "eq" for two different measures and exit 0
-        assert cli.run(["compare", files["m2"], files["m13"], "--b-grid", "nan"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and captured.out == ""
+        # nan and -inf used to print "order": "eq" for two different
+        # measures and exit 0; inf divided inf by inf in the tail integral
+        for entry in ("nan", "inf", "-inf"):
+            argv = ["compare", files["m2"], files["m13"], f"--b-grid={entry}"]
+            assert cli.run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and captured.out == ""
 
     def test_indiff_pair_singular_matrix_is_error(self, capsys):
         # exp(-1e-300 j) rounds to 1, so the Vandermonde matrix is singular;

@@ -7,6 +7,7 @@ from mastat.errors import BadParams, BudgetExhausted, NoKDominance, NoKDominance
 from conftest import (
     convolve_d1_major,
     fosd_four_searches,
+    grid_miss_pair,
     random_dist,
     random_measure,
     seeded_law,
@@ -128,6 +129,14 @@ class TestCatalystFirst:
         with pytest.raises(NoKDominance):
             dominance.find_catalyst_first(d, d)
 
+    def test_dip_between_grid_points_rejected(self):
+        x, y = grid_miss_pair()
+        with pytest.raises(NoKDominance) as info:
+            dominance.find_catalyst_first(x, y)
+        w = info.value.witness
+        assert cgf.k_a(x, w) < cgf.k_a(y, w) - 1e-12
+        assert "min gap -0.00143" in str(info.value)
+
     def test_budget_exhausted_reports_gap(self, monkeypatch):
         monkeypatch.setattr(dominance_mod, "_Z_ATOMS", (9,))
         monkeypatch.setattr(dominance_mod, "_V_DOUBLINGS", 0)
@@ -172,6 +181,16 @@ class TestCatalystSecond:
         assert dist.moments(y).mean >= dist.moments(x).mean
         with pytest.raises(NoKDominanceOnNegatives):
             dominance.find_catalyst_second(x, y)
+
+    def test_dip_between_grid_points_rejected(self):
+        # the mirror of the first-order pair: K_a(-X) = -K_(-a)(X)
+        x, y = grid_miss_pair()
+        neg_y, neg_x = dist.negate(y), dist.negate(x)
+        with pytest.raises(NoKDominanceOnNegatives) as info:
+            dominance.find_catalyst_second(neg_y, neg_x)
+        w = info.value.witness
+        assert w < 0 and cgf.k_a(neg_y, w) < cgf.k_a(neg_x, w) - 1e-12
+        assert "min gap -0.00143" in str(info.value)
 
 
 class TestLargeNumbers:

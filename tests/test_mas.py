@@ -190,6 +190,9 @@ class TestCompare:
             mas.compare(mas.point_mass(1.0), mas.point_mass(2.0), [])
         with pytest.raises(EmptyGrid):
             mas.compare(mas.point_mass(1.0), mas.point_mass(2.0), [0.0])
+        for entry in (np.nan, np.inf, -np.inf):
+            with pytest.raises(EmptyGrid):
+                mas.compare(mas.point_mass(1.0), mas.point_mass(2.0), [1.0, entry])
 
 
 class TestExtensions:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -366,6 +367,41 @@ class TestBetweenness:
                     dev = abs(mas.evaluate(mu, dist.mixture(x, y, lam)) - c)
                     best = max(best, dev)
         assert best > 1e-3
+
+
+def _gambles_by_product_walk(grid):
+    """GambleGrid.gambles as first written: every (m + 1)^k tuple in
+    lexicographic order, kept if it sums to m and has 1..max_support atoms."""
+    m = round(1.0 / grid.prob_step)
+    out = []
+    for combo in itertools.product(range(m + 1), repeat=len(grid.values)):
+        support = [v for v, c in zip(grid.values, combo) if c > 0]
+        if sum(combo) == m and 0 < len(support) <= grid.max_support:
+            probs = [c * grid.prob_step for c in combo if c > 0]
+            out.append(dist.make(support, probs))
+    return out
+
+
+class TestGambleGrid:
+    @pytest.mark.parametrize(
+        "k, step, max_support",
+        [(1, 0.5, 1), (3, 0.25, 2), (4, 0.5, 2), (4, 0.2, 3), (5, 1 / 3, 4), (3, 1.0, 0)],
+    )
+    def test_same_sequence_as_product_walk(self, k, step, max_support):
+        grid = pref.GambleGrid(tuple(float(v) for v in range(-1, k - 1)), step, max_support)
+        got, want = grid.gambles(), _gambles_by_product_walk(grid)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.support.tolist() == w.support.tolist()
+            assert g.probs.tolist() == w.probs.tolist()
+
+    def test_many_values_walk_only_the_kept_compositions(self):
+        # the product walk would visit 5^15 = 3e10 tuples here
+        grid = pref.GambleGrid(tuple(float(v) for v in range(15)), 0.25, 2)
+        assert len(grid.gambles()) == math.comb(15, 1) + 3 * math.comb(15, 2)
+        # one atom each: the walk is as deep as the atoms, not the values
+        wide = pref.GambleGrid(tuple(float(v) for v in range(1200)), 1.0, 1)
+        assert len(wide.gambles()) == 1200
 
 
 class TestFramingViolation:
