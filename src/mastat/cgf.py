@@ -29,9 +29,15 @@ K_(a_k)(X) - K_(a_(k+1))(Y), from values already computed. Cells where
 this bracket does not clear the margin are halved in t = (2/pi) atan(a),
 where the infinite cells are finite, and each round's midpoints (one
 k_a_many call per law) are checked as the grid is. STRICT needs every
-bracket clear; cells still open after _HALVINGS rounds give WEAK. The
-bracket has no allowance for the rounding of K_a: no case is known where
-it flips one, and the bound is easiest to state on a unit-scale law.
+bracket clear. The work is bounded: the check settles for WEAK when cells
+are still open after _HALVINGS rounds, or when the next round would take
+the new evaluations past _EXTRA_PER_POINT per grid point, so a call costs
+at most (1 + _EXTRA_PER_POINT) times the grid's K evaluations per law and
+_HALVINGS + 1 k_a_many calls per law. A gap that clears the margin by only
+delta keeps about range(Y) / delta cells open, so it is WEAK, not STRICT:
+X = Y shifted up by 1e-9 is WEAK at margin 0. The bracket has no
+allowance for the rounding of K_a: no case is known where it flips one,
+and the bound is easiest to state on a unit-scale law.
 """
 
 import functools
@@ -59,6 +65,9 @@ _FAIL_TOL = 1e-12
 
 #: halving rounds of the bracket check before it settles for WEAK
 _HALVINGS = 40
+
+#: new K evaluations per law the halving may make, per profile-grid point
+_EXTRA_PER_POINT = 16
 
 
 def k_a(d: FiniteDist, a: float) -> float:
@@ -190,33 +199,41 @@ def k_dominates(
 
 
 def _k_dominates_on(dx, dy, n_grid, margin, nonpositive):
-    """k_dominates, on [-inf, 0] only if nonpositive. WEAK names the index
-    with the smallest gap sampled, and min_gap is that gap."""
+    """k_dominates, on [-inf, 0] only if nonpositive. FAILS names the
+    smallest index with a failing gap in the first round that has one; WEAK
+    names the index with the smallest gap sampled, and min_gap is that gap."""
     t, a = _grid(n_grid)
     if nonpositive:
         t, a = t[: t.size // 2 + 1], a[: a.size // 2 + 1]
     kx, ky = k_a_many(dx, a), k_a_many(dy, a)
     gap = kx - ky
+    budget = _EXTRA_PER_POINT * a.size
     best = (math.inf, math.nan)
+    # the cells [a_i, a_(i+1)] between neighbouring samples, as t at both
+    # ends, K(X) at the left end and K(Y) at the right end
+    tl, tr, xl, yr = t[:-1], t[1:], kx[:-1], ky[1:]
     for rounds in range(_HALVINGS + 1):
         k = int(np.argmin(gap))
         best = min(best, (float(gap[k]), float(a[k])))
-        bad = np.flatnonzero(gap < -_FAIL_TOL)
-        if bad.size:
-            return KDominanceResult(KOrder.FAILS, float(a[bad[0]]), best[0])
+        bad = gap < -_FAIL_TOL
+        if bad.any():
+            return KDominanceResult(KOrder.FAILS, float(a[bad].min()), best[0])
         if best[0] <= margin:
             break
-        # cells [a_i, a_(i+1)] between neighbouring samples whose bracket
-        # K_(a_i)(X) - K_(a_(i+1))(Y) does not clear the margin
-        cells = np.flatnonzero(kx[:-1] - ky[1:] <= margin)
-        if not cells.size:
+        # keep the cells whose bracket K_(a_i)(X) - K_(a_(i+1))(Y) does not
+        # clear the margin
+        keep = xl - yr <= margin
+        if not keep.any():
             return KDominanceResult(KOrder.STRICT, None, best[0])
-        if rounds == _HALVINGS:
+        tl, tr, xl, yr = tl[keep], tr[keep], xl[keep], yr[keep]
+        budget -= tl.size
+        if rounds == _HALVINGS or budget < 0:
             break
-        at = cells + 1
-        mid = (t[cells] + t[at]) / 2.0
+        mid = (tl + tr) / 2.0
         a = np.tan(np.pi * mid / 2.0)
         mx, my = k_a_many(dx, a), k_a_many(dy, a)
         gap = mx - my
-        t, kx, ky = np.insert(t, at, mid), np.insert(kx, at, mx), np.insert(ky, at, my)
+        # each cell splits into [tl, mid] and [mid, tr]
+        tl, tr = np.concatenate((tl, mid)), np.concatenate((mid, tr))
+        xl, yr = np.concatenate((xl, mx)), np.concatenate((my, yr))
     return KDominanceResult(KOrder.WEAK, best[1], best[0])

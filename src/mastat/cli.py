@@ -344,13 +344,11 @@ def _selftest_checks(seed):
 
     check("constructed-catalyst", c_constructed_catalyst)
 
-    def law(make, n, width):  # n atoms uniform on [-width, width]
-        return make(rng.uniform(-width, width, n), rng.dirichlet(np.ones(n)))
-
     def c_additivity():
         for _ in range(50):
-            d1, d2 = law(dist.make, 4, 2.0), law(dist.make, 3, 2.0)
-            mu = law(mas.make_measure, 2, 3.0)
+            d1 = _random_dist(rng)
+            d2 = _random_dist(rng)
+            mu = _random_measure(rng)
             lhs = mas.evaluate(mu, dist.convolve(d1, d2))
             rhs = mas.evaluate(mu, d1) + mas.evaluate(mu, d2)
             assert abs(lhs - rhs) <= 1e-9
@@ -382,6 +380,27 @@ def _selftest_checks(seed):
     check("indifference-pair", c_indiff)
 
     return checks
+
+
+def _random_dist(rng, n_min=2, n_max=6, lo=-2.0, hi=2.0):
+    """A law of n_min .. n_max - 1 atoms uniform on [lo, hi], with
+    Dirichlet(1) masses: selftest's random laws, and the test suite's."""
+    n = int(rng.integers(n_min, n_max))
+    support = np.sort(rng.uniform(lo, hi, n))
+    support += np.arange(n) * 1e-6  # keep atoms apart
+    probs = rng.dirichlet(np.ones(n))
+    return dist.make(support, probs)
+
+
+def _random_measure(rng, n_min=1, n_max=4, lo=-3.0, hi=3.0, allow_inf=False):
+    """A mixing measure of n_min .. n_max - 1 atoms uniform on [lo, hi]; with
+    allow_inf, the first atom moves to -inf or +inf three times in ten."""
+    n = int(rng.integers(n_min, n_max))
+    locs = rng.uniform(lo, hi, n)
+    if allow_inf and rng.random() < 0.3:
+        locs[0] = -np.inf if rng.random() < 0.5 else np.inf
+    wts = rng.dirichlet(np.ones(n))
+    return mas.make_measure(locs, wts)
 
 
 def _cmd_selftest(args):

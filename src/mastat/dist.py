@@ -314,11 +314,18 @@ def discretize_trunc_gaussian(v: float, t: float, step: float) -> FiniteDist:
         raise BadParams(f"need V > 0, T > 0, 0 < step <= T/4, got {(v, t, step)}")
     n = int(math.ceil(2 * t / step - 1e-12))
     h = 2 * t / n
-    odd = n % 2  # an odd count has a cell centred on 0, which the mirror must not repeat
-    pos = (np.arange(n // 2 + odd) + (0.0 if odd else 0.5)) * h  # midpoints >= 0
-    sup = np.concatenate((-pos[odd:][::-1], pos))
+    half = np.arange(n // 2) + 0.5
+    pos = half * h
+    if n % 2:
+        pos = np.concatenate(([0.0], (np.arange(n // 2) + 1.0) * h))
+        sup = np.concatenate((-pos[:0:-1], pos))
+    else:
+        sup = np.concatenate((-pos[::-1], pos))
     wpos = np.exp(-(pos * pos) / (2.0 * v))
-    w = np.concatenate((wpos[odd:][::-1], wpos))
+    if n % 2:
+        w = np.concatenate((wpos[:0:-1], wpos))
+    else:
+        w = np.concatenate((wpos[::-1], wpos))
     total = w.sum()
     if total <= 0.0:
         raise BadParams(

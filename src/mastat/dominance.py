@@ -9,11 +9,12 @@ go through _construct, which checks the hypothesis with the one check in
 cgf. Its STRICT verdict holds on the whole index interval, not only on
 the profile grid: a -> K_a is nondecreasing, so each grid cell is
 bracketed by K at its ends and halved until the bracket clears the
-margin, for at most 40 rounds, with no allowance for the rounding of K
-(see the cgf module doc). The returned certificate is machine-checked:
-the dominance sweep over every breakpoint of the convolved cdfs is part
-of construction, not a test-only step, and `verified` is set only when
-the worst gap clears -1e-12.
+margin, for at most 40 rounds and 16 new K evaluations per grid point
+(else WEAK), with no allowance for the rounding of K (see the cgf module
+doc). The returned certificate is machine-checked: the dominance sweep
+over every breakpoint of the convolved cdfs is part of construction, not
+a test-only step, and `verified` is set only when the worst gap clears
+-1e-12.
 
 The sweep does not sort every breakpoint once there are more than
 _ONE_ROW_MAX of them. It bins the merged support and the catalyst onto
@@ -463,9 +464,13 @@ def _band_positive_eps(
     eps = 0.995 * cap
     for _ in range(60):
         lo_band = _min_sigma_on(u, sigma, -n_half, -n_half + eps / 2.0)
-        delta = _min_sigma_on(u, sigma, -n_half + eps / 4.0, -n_half + eps / 2.0)
-        if not second:
-            delta = min(delta, _min_sigma_on(u, sigma, n_half - eps / 2.0, n_half - eps / 4.0))
+        if second:
+            delta = _min_sigma_on(u, sigma, -n_half + eps / 4.0, -n_half + eps / 2.0)
+        else:
+            delta = min(
+                _min_sigma_on(u, sigma, -n_half + eps / 4.0, -n_half + eps / 2.0),
+                _min_sigma_on(u, sigma, n_half - eps / 2.0, n_half - eps / 4.0),
+            )
         if delta > 0 and lo_band >= 0:
             return eps, delta
         eps /= 2.0

@@ -3,29 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mastat import dist, mas
+from mastat import dist
 from mastat.errors import MassNotOne
-
-
-def random_dist(rng, n_min=2, n_max=6, lo=-2.0, hi=2.0):
-    """A law of n_min .. n_max - 1 atoms uniform on [lo, hi], with
-    Dirichlet(1) masses."""
-    n = int(rng.integers(n_min, n_max))
-    support = np.sort(rng.uniform(lo, hi, n))
-    support += np.arange(n) * 1e-6  # keep atoms apart
-    probs = rng.dirichlet(np.ones(n))
-    return dist.make(support, probs)
-
-
-def random_measure(rng, n_min=1, n_max=4, lo=-3.0, hi=3.0, allow_inf=False):
-    """A mixing measure of n_min .. n_max - 1 atoms uniform on [lo, hi]; with
-    allow_inf, the first atom moves to -inf or +inf three times in ten."""
-    n = int(rng.integers(n_min, n_max))
-    locs = rng.uniform(lo, hi, n)
-    if allow_inf and rng.random() < 0.3:
-        locs[0] = -np.inf if rng.random() < 0.5 else np.inf
-    wts = rng.dirichlet(np.ones(n))
-    return mas.make_measure(locs, wts)
+from mastat.cli import (  # the random laws the test modules import from here
+    _random_dist as random_dist,
+    _random_measure as random_measure,
+)
 
 
 def grid_miss_pair():

@@ -208,6 +208,26 @@ class TestKDominates:
         res = cgf.k_dominates(*grid_miss_pair(), margin=1e-6)
         assert res.order is cgf.KOrder.WEAK and res.min_gap > 1e-6
 
+    def test_gap_just_above_the_margin_is_weak_with_bounded_work(self, monkeypatch):
+        # the bracket needs about range(Y) / 1e-9 cells here; the halving
+        # stops at its evaluation budget instead of doubling its open cells
+        counted = []
+        k_a_many = cgf.k_a_many
+
+        def counting(d, avec):
+            counted.append(np.size(avec))
+            return k_a_many(d, avec)
+
+        monkeypatch.setattr(cgf, "k_a_many", counting)
+        d = random_dist(np.random.default_rng(0))
+        grid = cgf.profile_grid()
+        for nonpositive, size in ((False, grid.size), (True, grid.size // 2 + 1)):
+            counted.clear()
+            res = cgf._k_dominates_on(dist.shift(d, 1e-9), d, 201, 0.0, nonpositive)
+            assert res.order is cgf.KOrder.WEAK and 0.0 < res.min_gap < 2e-9
+            assert sum(counted) <= 2 * (1 + cgf._EXTRA_PER_POINT) * size
+            assert len(counted) <= 2 * (cgf._HALVINGS + 1)
+
     def test_strict_holds_between_grid_points(self):
         """The two-top-atom family X = {x0: 1 - p, 1: p}, Y = {y0: 1 - q,
         1 - d: q} with q > p, where the gap can dip between grid points at

@@ -137,6 +137,13 @@ class TestCatalystFirst:
         assert cgf.k_a(x, w) < cgf.k_a(y, w) - 1e-12
         assert "min gap -0.00143" in str(info.value)
 
+    def test_gap_just_above_the_margin_rejected(self):
+        # X = Y + 1e-9 dominates Y, but the K check cannot certify a gap of
+        # 1e-9 within its evaluation budget, so there is no certificate
+        d = random_dist(np.random.default_rng(0))
+        with pytest.raises(NoKDominance):
+            dominance.find_catalyst_first(dist.shift(d, 1e-9), d, margin=0.0)
+
     def test_budget_exhausted_reports_gap(self, monkeypatch):
         monkeypatch.setattr(dominance_mod, "_Z_ATOMS", (9,))
         monkeypatch.setattr(dominance_mod, "_V_DOUBLINGS", 0)
