@@ -182,27 +182,18 @@ class KDominanceResult:
     witness: Optional[float]
     min_gap: float
 
-    @property
-    def is_strict(self) -> bool:
-        return self.order is KOrder.STRICT
 
-
-def k_dominates(
-    dx: FiniteDist,
-    dy: FiniteDist,
-    n_grid: int = 201,
-    margin: float = 0.0,
-) -> KDominanceResult:
+def k_dominates(dx: FiniteDist, dy: FiniteDist, margin: float = 0.0) -> KDominanceResult:
     """Certify K_a(X) > K_a(Y) + margin for every a in [-inf, +inf], from
-    the profile grid of n_grid points and the bracket (see module doc)."""
-    return _k_dominates_on(dx, dy, n_grid, margin, nonpositive=False)
+    the default profile grid and the bracket (see module doc)."""
+    return _k_dominates_on(dx, dy, margin, nonpositive=False)
 
 
-def _k_dominates_on(dx, dy, n_grid, margin, nonpositive):
+def _k_dominates_on(dx, dy, margin, nonpositive):
     """k_dominates, on [-inf, 0] only if nonpositive. FAILS names the
     smallest index with a failing gap in the first round that has one; WEAK
     names the index with the smallest gap sampled, and min_gap is that gap."""
-    t, a = _grid(n_grid)
+    t, a = _grid(201)
     if nonpositive:
         t, a = t[: t.size // 2 + 1], a[: a.size // 2 + 1]
     kx, ky = k_a_many(dx, a), k_a_many(dy, a)

@@ -29,13 +29,12 @@ def _read_json(path):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _numbers(raw, what, one=False):
-    """Floats from a JSON list of numbers, or from the comma-separated text
-    of a command-line option; one=True wants exactly one. Anything else (a
-    scalar, string or bool where JSON numbers belong, text that is not a
-    number, an integer too large for a double) raises an InputError naming
-    `what`, so the command exits 2."""
-    text = isinstance(raw, str)
+def _numbers(raw, what, one=False, text=False):
+    """Floats from a JSON list of numbers, or (text=True) from the
+    comma-separated text of a command-line option; one=True wants exactly
+    one. Anything else (a scalar, string or bool where JSON numbers belong,
+    text that is not a number, an integer too large for a double) raises
+    an InputError naming `what`, so the command exits 2."""
     items = raw.split(",") if text else raw
     try:
         if not isinstance(items, list) or not (text or all(
@@ -50,41 +49,37 @@ def _numbers(raw, what, one=False):
     return values[0] if one else values
 
 
+def _fields(obj, where, *names):
+    """The named fields of a JSON object, in the order named; an InputError
+    naming `where` if obj is not an object or lacks one of them."""
+    if not isinstance(obj, dict) or any(name not in obj for name in names):
+        raise InputError(f"{where}: needs an object with fields {', '.join(names)}")
+    return [obj[name] for name in names]
+
+
+def _columns(rows, where, *names):
+    """The named fields of every object in a JSON list, one list per name."""
+    if not isinstance(rows, list):
+        raise InputError(f"{where} must be a list")
+    rows = [_fields(row, f"{where}[{i}]", *names) for i, row in enumerate(rows)]
+    return [[row[k] for row in rows] for k in range(len(names))]
+
+
 def load_dist(path) -> dist.FiniteDist:
-    obj = _read_json(path)
-    arrays = []
-    for field in ("support", "probs"):
-        if not isinstance(obj, dict) or field not in obj:
-            raise InputError(f"{path}: missing field {field!r}")
-        arrays.append(np.array(_numbers(obj[field], f"{path}: {field}"), dtype=np.float64))
-    return dist.make(*arrays)
+    support, probs = _fields(_read_json(path), path, "support", "probs")
+    return dist.make(_numbers(support, f"{path}: support"), _numbers(probs, f"{path}: probs"))
 
 
 def dist_to_dict(d: dist.FiniteDist) -> dict:
     return {"support": list(map(float, d.support)), "probs": list(map(float, d.probs))}
 
 
-def _atom_loc(raw, path):
-    if raw == "inf":
-        return np.inf
-    if raw == "-inf":
-        return -np.inf
-    return _numbers([raw], f"{path}: atom location", one=True)
-
-
 def load_measure(path) -> mas.MixingMeasure:
-    obj = _read_json(path)
-    if not isinstance(obj, dict) or "atoms" not in obj:
-        raise InputError(f"{path}: missing field 'atoms'")
-    if not isinstance(obj["atoms"], list):
-        raise InputError(f"{path}: 'atoms' must be a list")
-    locs, wts = [], []
-    for i, atom in enumerate(obj["atoms"]):
-        if not isinstance(atom, dict) or "a" not in atom or "w" not in atom:
-            raise InputError(f"{path}: atoms[{i}] needs fields 'a' and 'w'")
-        locs.append(_atom_loc(atom["a"], path))
-        wts.append(_numbers([atom["w"]], f"{path}: atoms[{i}].w", one=True))
-    return mas.make_measure(locs, wts)
+    (atoms,) = _fields(_read_json(path), path, "atoms")
+    locs, wts = _columns(atoms, f"{path}: atoms", "a", "w")
+    # an infinite location is written as the string "inf" or "-inf"
+    locs = [{"inf": np.inf, "-inf": -np.inf}.get(a, a) if isinstance(a, str) else a for a in locs]
+    return mas.make_measure(_numbers(locs, f"{path}: atoms a"), _numbers(wts, f"{path}: atoms w"))
 
 
 def measure_to_dict(mu: mas.MixingMeasure) -> dict:
@@ -132,17 +127,12 @@ def _utility_from_spec(spec: str) -> pref.UtilitySpec:
     if spec == "log":
         return pref.UtilitySpec.log()
     if spec.startswith("power:"):
-        return pref.UtilitySpec.power(_numbers(spec[6:], "power exponent", one=True))
+        return pref.UtilitySpec.power(_numbers(spec[6:], "power exponent", one=True, text=True))
     if spec.startswith("table:"):
         path = spec[6:]
-        obj = _read_json(path)
-        points = obj.get("points") if isinstance(obj, dict) else None
-        if not isinstance(points, list) or not all(
-            isinstance(p, dict) and "x" in p and "u" in p for p in points
-        ):
-            raise InputError(f"{path}: 'points' must be a list of objects with 'x' and 'u'")
-        xs = _numbers([p["x"] for p in points], f"{path}: points x")
-        us = _numbers([p["u"] for p in points], f"{path}: points u")
+        (points,) = _fields(_read_json(path), path, "points")
+        xs, us = _columns(points, f"{path}: points", "x", "u")
+        xs, us = _numbers(xs, f"{path}: points x"), _numbers(us, f"{path}: points u")
         return pref.UtilitySpec.table(list(zip(xs, us)))
     raise InputError(f"unknown utility spec {spec!r}")
 
@@ -153,7 +143,8 @@ def _pref_from_spec(spec: str):
     if spec == "median":
         return pref.median
     if spec.startswith("mean-variance:"):
-        return pref.preference_mean_variance(_numbers(spec[14:], "mean-variance k", one=True))
+        k = _numbers(spec[14:], "mean-variance k", one=True, text=True)
+        return pref.preference_mean_variance(k)
     if spec.startswith("mas:"):
         return pref.preference_mas(load_measure(spec.split(":", 1)[1]))
     raise InputError(f"unknown preference spec {spec!r}")
@@ -197,7 +188,7 @@ def _cmd_classify(args):
 def _cmd_compare(args):
     mu1 = load_measure(args.measure1)
     mu2 = load_measure(args.measure2)
-    grid = _numbers(args.b_grid, "--b-grid") if args.b_grid else None
+    grid = _numbers(args.b_grid, "--b-grid", text=True) if args.b_grid else None
     res = mas.compare(mu1, mu2, grid)
     _emit_json({"order": res.order.value, "witness": res.witness}, args.out)
     return 0 if res.order is not mas.CompareOrder.INCOMPARABLE else 1
@@ -234,13 +225,9 @@ def _cmd_large_n(args):
 
 
 def _cmd_aggregate(args):
-    obj = _read_json(args.profile)
-    lists = []
-    for field in ("rates", "weights"):
-        if not isinstance(obj, dict) or field not in obj:
-            raise InputError(f"{args.profile}: missing field {field!r}")
-        lists.append(_numbers(obj[field], f"{args.profile}: {field}"))
-    rates, weights = lists
+    where = args.profile
+    rates, weights = _fields(_read_json(where), where, "rates", "weights")
+    rates, weights = _numbers(rates, f"{where}: rates"), _numbers(weights, f"{where}: weights")
     profile = pref.AgentProfile(tuple(rates), pref.UtilitySpec.identity())
     social = pref.aggregate(profile, weights)
     out = {
@@ -253,7 +240,7 @@ def _cmd_aggregate(args):
 
 
 def _cmd_indiff_pair(args):
-    rates = _numbers(args.rates, "--rates")
+    rates = _numbers(args.rates, "--rates", text=True)
     pair = pref.indifference_pair(rates, args.c)
     out = {
         "T": dist_to_dict(pair.t_dist),
@@ -278,7 +265,7 @@ def _cmd_time_value(args):
 def _cmd_violation_search(args):
     p1 = _pref_from_spec(args.pref1)
     p2 = _pref_from_spec(args.pref2)
-    values = tuple(_numbers(args.values, "--values"))
+    values = tuple(_numbers(args.values, "--values", text=True))
     grid = pref.GambleGrid(values, args.prob_step, args.max_points)
     quad = pref.find_framing_violation(p1, p2, grid, max_candidates=args.budget)
     if quad is None:

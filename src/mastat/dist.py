@@ -20,6 +20,7 @@ same distribution do not recompute them.
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -80,7 +81,10 @@ class FiniteDist:
         """Mean, variance and support endpoints, computed on first use."""
         x = self.support
         mean = float(np.dot(self.probs, x))
-        var = float(np.dot(self.probs, (x - mean) ** 2))
+        # past 1e150 a squared deviation may overflow to inf, which k_a_many
+        # handles; np.errstate costs microseconds, so it is entered only then
+        with np.errstate(over="ignore") if x[-1] - x[0] > 1e150 else nullcontext():
+            var = float(np.dot(self.probs, (x - mean) ** 2))
         return Moments(mean, var, float(x[0]), float(x[-1]))
 
     @cached_property
@@ -233,11 +237,16 @@ def convolve(d1: FiniteDist, d2: FiniteDist, *, cap: int = SUPPORT_CAP) -> Finit
     return _canonical(vals, wts)
 
 
+def _positive_int(n, what: str = "n") -> int:
+    """n as an int; BadParams unless it is a positive integer (not NaN or inf)."""
+    if not (1 <= n < math.inf and int(n) == n):
+        raise BadParams(f"{what} must be a positive integer")
+    return int(n)
+
+
 def iid_power(d: FiniteDist, n: int, *, cap: int = SUPPORT_CAP) -> FiniteDist:
     """Sum of n i.i.d. copies of d, via binary exponentiation over convolve."""
-    if n < 1 or int(n) != n:
-        raise BadParams("n must be a positive integer")
-    n = int(n)
+    n = _positive_int(n)
     acc = None
     base = d
     while True:
@@ -297,8 +306,8 @@ def discretize_uniform(a: float, b: float, step: float) -> FiniteDist:
     cell's mass; the mean (a + b) / 2 is preserved exactly. step = b - a
     collapses to the single midpoint.
     """
-    if not (a < b) or not (0 < step <= (b - a) * (1 + 1e-12)):
-        raise BadInterval(f"need a < b and 0 < step <= b - a, got {(a, b, step)}")
+    if not (a < b and 0 < step <= (b - a) * (1 + 1e-12) and math.isfinite((b - a) / step)):
+        raise BadInterval(f"need finite a < b and 0 < step <= b - a, got {(a, b, step)}")
     n = int(math.ceil((b - a) / step - 1e-12))
     h = (b - a) / n
     mids = a + (np.arange(n) + 0.5) * h
@@ -310,22 +319,12 @@ def discretize_trunc_gaussian(v: float, t: float, step: float) -> FiniteDist:
 
     The grid is mirror-symmetric, so negate(Z) == Z exactly.
     """
-    if not (v > 0 and t > 0 and 0 < step <= t / 4):
-        raise BadParams(f"need V > 0, T > 0, 0 < step <= T/4, got {(v, t, step)}")
+    if not (v > 0 and t > 0 and 0 < step <= t / 4 and math.isfinite(2 * t / step)):
+        raise BadParams(f"need V > 0, finite T > 0, 0 < step <= T/4, got {(v, t, step)}")
     n = int(math.ceil(2 * t / step - 1e-12))
-    h = 2 * t / n
-    half = np.arange(n // 2) + 0.5
-    pos = half * h
-    if n % 2:
-        pos = np.concatenate(([0.0], (np.arange(n // 2) + 1.0) * h))
-        sup = np.concatenate((-pos[:0:-1], pos))
-    else:
-        sup = np.concatenate((-pos[::-1], pos))
-    wpos = np.exp(-(pos * pos) / (2.0 * v))
-    if n % 2:
-        w = np.concatenate((wpos[:0:-1], wpos))
-    else:
-        w = np.concatenate((wpos[::-1], wpos))
+    # cell midpoints at integer or half-integer multiples of the cell width
+    sup = (np.arange(n) - (n - 1) / 2) * (2 * t / n)
+    w = np.exp(-(sup * sup) / (2.0 * v))
     total = w.sum()
     if total <= 0.0:
         raise BadParams(
@@ -347,9 +346,7 @@ def decay_two_point(n: int, b: float) -> FiniteDist:
     underflow threshold keep their log mass and still evaluate correctly
     in the CGF.
     """
-    if n < 1 or int(n) != n:
-        raise BadParams("n must be a positive integer")
-    n = int(n)
+    n = _positive_int(n)
     log_top = -b * n
     if not -math.inf < log_top < 0.0:
         raise BadParams("b must be positive, with b*n finite")

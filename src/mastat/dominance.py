@@ -41,6 +41,7 @@ import numpy as np
 from .cgf import KOrder, _k_dominates_on
 from .dist import (
     FiniteDist,
+    _positive_int,
     cdf,
     convolve,
     discretize_trunc_gaussian,
@@ -48,7 +49,6 @@ from .dist import (
     shift,
 )
 from .errors import (
-    BadParams,
     BudgetExhausted,
     DegenerateGap,
     NoKDominance,
@@ -485,9 +485,7 @@ def _min_sigma_on(u: np.ndarray, sigma: np.ndarray, lo: float, hi: float) -> flo
     return float(vals.min())
 
 
-def _construct(
-    dx: FiniteDist, dy: FiniteDist, order: int, margin: float, n_grid: int
-) -> CatalystCertificate:
+def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> CatalystCertificate:
     """Shared first/second order construction, following the proof recipe.
 
     Check strict CGF dominance at margin (on [-inf, 0] at order 2), and
@@ -497,7 +495,7 @@ def _construct(
     (doubling, verification-driven) with truncation T = A*V + N, refining
     the catalyst grid up to 2**14 atoms at each V.
     """
-    kres = _k_dominates_on(dx, dy, n_grid, margin, nonpositive=order == 2)
+    kres = _k_dominates_on(dx, dy, margin, nonpositive=order == 2)
     if kres.order is not KOrder.STRICT:
         error = NoKDominance if order == 1 else NoKDominanceOnNegatives
         where = "" if order == 1 else " on nonpositive indices"
@@ -545,8 +543,6 @@ def _construct(
         radius = min(trunc, math.sqrt(1400.0 * variance) + n_half)
         for atoms in _Z_ATOMS:
             step = 2.0 * radius / atoms
-            if step > radius / 4.0:
-                step = radius / 4.0
             z = discretize_trunc_gaussian(variance, radius, step)
             worst, _where = _conv_gap_sweep(u, s, z, order)
             best_gap = max(best_gap, worst)
@@ -563,26 +559,19 @@ def _construct(
 
 
 def find_catalyst_first(
-    dx: FiniteDist,
-    dy: FiniteDist,
-    margin: float = 1e-6,
-    n_grid: int = 201,
+    dx: FiniteDist, dy: FiniteDist, margin: float = 1e-6
 ) -> CatalystCertificate:
     """Construct an independent Z with X + Z >=_1 Y + Z.
 
     Requires K_a(X) > K_a(Y) + margin for every a, certified by
-    cgf.k_dominates from the n_grid-point profile grid; raises
-    NoKDominance (with witness) otherwise. If X already dominates Y the
-    certificate is degenerate (Z = point mass at 0).
+    cgf.k_dominates; raises NoKDominance (with witness) otherwise. If X
+    already dominates Y the certificate is degenerate (Z = point mass at 0).
     """
-    return _construct(dx, dy, 1, margin, n_grid)
+    return _construct(dx, dy, 1, margin)
 
 
 def find_catalyst_second(
-    dx: FiniteDist,
-    dy: FiniteDist,
-    margin: float = 1e-6,
-    n_grid: int = 201,
+    dx: FiniteDist, dy: FiniteDist, margin: float = 1e-6
 ) -> CatalystCertificate:
     """Construct an independent Z with X + Z >=_2 Y + Z.
 
@@ -590,24 +579,20 @@ def find_catalyst_second(
     as in find_catalyst_first; raises NoKDominanceOnNegatives otherwise.
     If X already dominates Y the certificate is degenerate.
     """
-    return _construct(dx, dy, 2, margin, n_grid)
+    return _construct(dx, dy, 2, margin)
 
 
-def large_numbers_n(
-    dx: FiniteDist, dy: FiniteDist, n_max: int, tol: float = 0.0
-) -> Optional[int]:
+def large_numbers_n(dx: FiniteDist, dy: FiniteDist, n_max: int) -> Optional[int]:
     """Smallest n <= n_max with X^{*n} >=_1 Y^{*n}, else None.
 
     Checks every n (no monotone restart assumed); running convolution
     powers are kept incrementally.
     """
-    if n_max < 1 or int(n_max) != n_max:
-        raise BadParams("n_max must be a positive integer")
     px, py = dx, dy
-    for n in range(1, int(n_max) + 1):
+    for n in range(1, _positive_int(n_max, "n_max") + 1):
         if n > 1:
             px = convolve(px, dx)
             py = convolve(py, dy)
-        if fosd(px, py, tol=tol).dominates:
+        if fosd(px, py).dominates:
             return n
     return None

@@ -18,9 +18,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .cgf import k_a_many
-from .dist import FiniteDist, floor_dist, iid_power, moments, shift
+from .dist import FiniteDist, _positive_int, floor_dist, iid_power, moments, shift
 from .errors import (
-    BadParams,
     BadSupport,
     EmptyFamily,
     EmptyGrid,
@@ -102,8 +101,9 @@ def evaluate_gaussian(mu: MixingMeasure, mean: float, var: float) -> float:
     Requires a measure with compact (finite) support; K_a of a Gaussian is
     mean + a * var / 2, which has no limit at +-inf.
     """
-    if var < 0:
-        raise BadSupport("variance must be nonnegative")
+    # written so that a NaN mean or variance fails the check
+    if not (0 <= var < np.inf and np.isfinite(mean)):
+        raise BadSupport("need a finite mean and a finite nonnegative variance")
     if not np.all(np.isfinite(mu.locations)):
         raise InfiniteAtom("Gaussian closed form needs all atoms finite")
     c = float(np.dot(mu.weights, mu.locations))
@@ -141,16 +141,17 @@ class CompareResult:
     witness: Optional[float] = None
 
 
-def _tail_integral(mu: MixingMeasure, b: float) -> float:
-    """Integral of (a - b)/a over [b, +inf] (b > 0) or [-inf, b] (b < 0).
+def _tail_integrals(mu: MixingMeasure, grid: np.ndarray) -> np.ndarray:
+    """Integral of (a - b)/a over [b, +inf] (b > 0) or [-inf, b] (b < 0),
+    for every b of the grid.
 
-    Atoms at the matching infinity contribute (a - b)/a = 1; an atom at
+    Atoms at the matching infinity contribute 1 - b/(+-inf) = 1; an atom at
     a = b contributes 0 either way.
     """
-    locs, wts = mu.locations, mu.weights
-    sel = locs >= b if b > 0 else locs <= b
-    vals = np.where(np.isinf(locs[sel]), 1.0, 1.0 - b / locs[sel])
-    return float(np.dot(wts[sel], vals))
+    a, b = mu.locations, grid[:, None]
+    with np.errstate(divide="ignore"):  # b / 0 is computed, never selected
+        vals = np.where(np.where(b > 0, a >= b, a <= b), 1.0 - b / a, 0.0)
+    return vals @ mu.weights
 
 
 def default_compare_grid(mu1: MixingMeasure, mu2: MixingMeasure) -> np.ndarray:
@@ -188,31 +189,19 @@ def compare(
             raise EmptyGrid("b_grid must be nonempty")
         if np.any(grid == 0.0) or not np.isfinite(grid).all():
             raise EmptyGrid("b_grid entries must be nonzero finite numbers")
-    le = True
-    ge = True
-    le_witness = None
-    for b in grid:
-        i1 = _tail_integral(mu1, b)
-        i2 = _tail_integral(mu2, b)
-        if b > 0:
-            if i1 > i2 + _WEIGHT_TOL:
-                le = False
-                le_witness = le_witness if le_witness is not None else float(b)
-            if i2 > i1 + _WEIGHT_TOL:
-                ge = False
-        else:
-            if i1 < i2 - _WEIGHT_TOL:
-                le = False
-                le_witness = le_witness if le_witness is not None else float(b)
-            if i2 < i1 - _WEIGHT_TOL:
-                ge = False
+    i1, i2 = _tail_integrals(mu1, grid), _tail_integrals(mu2, grid)
+    pos = grid > 0
+    le_fails = np.where(pos, i1 > i2 + _WEIGHT_TOL, i1 < i2 - _WEIGHT_TOL)
+    ge_fails = np.where(pos, i2 > i1 + _WEIGHT_TOL, i2 < i1 - _WEIGHT_TOL)
+    le, ge = not le_fails.any(), not ge_fails.any()
     if le and ge:
         return CompareResult(CompareOrder.EQ)
     if le:
         return CompareResult(CompareOrder.LE)
     if ge:
         return CompareResult(CompareOrder.GE)
-    return CompareResult(CompareOrder.INCOMPARABLE, le_witness)
+    # the witness is the first b, in grid order, where the LE test fails
+    return CompareResult(CompareOrder.INCOMPARABLE, float(grid[np.argmax(le_fails)]))
 
 
 def extend_from_nonneg(
@@ -238,16 +227,15 @@ def extend_integer_approx(
     the cap are the powers scanned upward from 2, up to the last one below
     the first that exceeds it.
     """
-    if n_max < 1:
-        raise BadParams("n_max must be at least 1")
+    n_max = _positive_int(n_max, "n_max")
     if d.support[0] < 0:
         raise BadSupport("floor extension needs a nonnegative support")
     try:
-        n_used = int(n_max)
+        n_used = n_max
         power = iid_power(d, n_used) if n_used > 1 else d
     except SupportBlowup:
         power, n_used = d, 1
-        for n in range(2, int(n_max) + 1):
+        for n in range(2, n_max + 1):
             try:
                 power = iid_power(d, n)
             except SupportBlowup:

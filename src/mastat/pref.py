@@ -9,9 +9,11 @@ statistic sum_i lambda_i K_{-r_i} and the harmonic social rate
 1/r = sum_i lambda_i / r_i.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -345,13 +347,13 @@ class GambleGrid:
     max_support: int = 2
 
     def gambles(self) -> List[FiniteDist]:
-        m = round(1.0 / self.prob_step)
-        if abs(m * self.prob_step - 1.0) > 1e-12 or m < 1:
+        step = self.prob_step
+        # written so that a zero or NaN step fails before the division
+        if not 0 < step <= 1 or abs(round(1.0 / step) * step - 1.0) > 1e-12:
             raise BadParams("prob_step must divide 1")
-        return [
-            make([self.values[i] for i in where], [c * self.prob_step for c in sizes])
-            for where, sizes in _compositions(m, len(self.values), self.max_support)
-        ]
+        parts = _compositions(round(1.0 / step), len(self.values), self.max_support)
+        return [make([self.values[i] for i in where], [c * step for c in sizes])
+                for where, sizes in parts]
 
 
 def _compositions(m: int, k: int, parts: int, start: int = 0) -> Iterator[tuple]:
@@ -376,14 +378,16 @@ def median(d: FiniteDist) -> float:
     return float(d.support[min(i, d.n_atoms - 1)])
 
 
-def _ranked_pairs(
-    preference: Callable[[FiniteDist], float], gambles: Sequence[FiniteDist]
-) -> List[Tuple[int, int]]:
-    """Index pairs (i, j) with preference(gambles[i]) > preference(gambles[j]),
-    in the order the violation search visits them."""
-    values = [preference(g) for g in gambles]
-    n = len(gambles)
-    return [(i, j) for i in range(n) for j in range(n) if values[i] > values[j]]
+def _values(preference: Callable[[FiniteDist], float], gambles) -> np.ndarray:
+    return np.array([preference(g) for g in gambles], dtype=np.float64)
+
+
+def _ranked(values: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Index pairs (i, j) with values[i] > values[j], i ascending, then j
+    ascending: the order the violation search visits them."""
+    for i, v in enumerate(values):
+        for j in np.flatnonzero(values < v).tolist():
+            yield i, j
 
 
 def find_framing_violation(
@@ -395,31 +399,27 @@ def find_framing_violation(
     """First quadruple (X, X', Y, Y') in canonical grid order with
     pref1(X) > pref1(X'), pref2(Y) > pref2(Y'), and X' + Y' strictly
     first-order dominating X + Y; None if none exists within the budget.
+
+    The ranked pairs are walked lazily, so max_candidates bounds both the
+    quadruples compared and the pairs walked on either side. It does not
+    bound the grid: every gamble is still built and ranked once.
     """
     gambles = grid.gambles()
-    pairs1 = _ranked_pairs(pref1, gambles)
-    pairs2 = _ranked_pairs(pref2, gambles)
-    conv_cache = {}
+    v1, v2 = _values(pref1, gambles), _values(pref2, gambles)
+    budget = max(max_candidates, 0)
+    inner = list(islice(_ranked(v2), budget))
+    if not inner:  # else the walk below would visit every outer pair for nothing
+        return None
 
+    @functools.lru_cache(maxsize=None)
     def conv(i, j):
-        key = (i, j) if i <= j else (j, i)
-        got = conv_cache.get(key)
-        if got is None:
-            got = convolve(gambles[key[0]], gambles[key[1]])
-            conv_cache[key] = got
-        return got
+        return convolve(gambles[i], gambles[j])
 
-    examined = 0
-    for i, ip in pairs1:
-        for k, kp in pairs2:
-            examined += 1
-            if examined > max_candidates:
-                return None
-            chosen = conv(i, k)
-            rejected = conv(ip, kp)
-            res = fosd(rejected, chosen, tol=1e-12)
-            if res.dominates and res.strict:
-                return (gambles[i], gambles[ip], gambles[k], gambles[kp])
+    quads = ((i, ip, k, kp) for i, ip in _ranked(v1) for k, kp in inner)
+    for i, ip, k, kp in islice(quads, budget):
+        res = fosd(conv(min(ip, kp), max(ip, kp)), conv(min(i, k), max(i, k)), tol=1e-12)
+        if res.dominates and res.strict:
+            return (gambles[i], gambles[ip], gambles[k], gambles[kp])
     return None
 
 
@@ -428,9 +428,15 @@ def count_candidates(
     pref2: Callable[[FiniteDist], float],
     grid: GambleGrid,
 ) -> int:
-    """Size of the quadruple search space for the given preferences."""
+    """Size of the quadruple search space for the given preferences: the
+    product of the ranked pairs on each side, counted from the sorted
+    values without listing a pair. A NaN value ranks against nothing."""
     gambles = grid.gambles()
-    return len(_ranked_pairs(pref1, gambles)) * len(_ranked_pairs(pref2, gambles))
+    count = 1
+    for preference in (pref1, pref2):
+        v = _values(preference, gambles)
+        count *= int(np.searchsorted(np.sort(v), v)[~np.isnan(v)].sum())
+    return count
 
 
 def preference_mean(d: FiniteDist) -> float:

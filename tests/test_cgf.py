@@ -223,7 +223,7 @@ class TestKDominates:
         grid = cgf.profile_grid()
         for nonpositive, size in ((False, grid.size), (True, grid.size // 2 + 1)):
             counted.clear()
-            res = cgf._k_dominates_on(dist.shift(d, 1e-9), d, 201, 0.0, nonpositive)
+            res = cgf._k_dominates_on(dist.shift(d, 1e-9), d, 0.0, nonpositive)
             assert res.order is cgf.KOrder.WEAK and 0.0 < res.min_gap < 2e-9
             assert sum(counted) <= 2 * (1 + cgf._EXTRA_PER_POINT) * size
             assert len(counted) <= 2 * (cgf._HALVINGS + 1)

@@ -267,6 +267,19 @@ class TestVerdictsAndCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
+    @pytest.mark.parametrize("cmd, obj", [
+        ("dominance", {"support": "0,1", "probs": "0.5,0.5"}),
+        ("aggregate", {"rates": "1,3", "weights": "0.5,0.5"}),
+    ])
+    def test_number_lists_written_as_text_are_input_error(self, capsys, files, cmd, obj):
+        # a JSON string was split at its commas like an option's text, and exited 0
+        path = files["tmp"] / "text.json"
+        path.write_text(json.dumps(obj))
+        argv = [cmd, str(path)] + ([files["X"]] if cmd == "dominance" else [])
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_compare_nan_grid_is_input_error(self, capsys, files):
         # nan and -inf used to print "order": "eq" for two different
         # measures and exit 0; inf divided inf by inf in the tail integral

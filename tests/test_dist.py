@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastat import dist
+from mastat import dist, mas, pref
 from mastat.errors import (
     BadInterval,
     BadParams,
+    BadSupport,
     InputError,
     LambdaOutOfRange,
     LengthMismatch,
@@ -286,6 +287,56 @@ class TestDiscretizers:
             dist.discretize_trunc_gaussian(0.0, 1.0, 0.1)
         with pytest.raises(BadParams):
             dist.discretize_trunc_gaussian(1.0, 1.0, 0.5)
+
+    def test_trunc_gaussian_same_bytes_as_mirrored_halves(self):
+        rng = np.random.default_rng(3)
+        for k in range(1000):
+            t = 10 ** rng.uniform(-2, 3)
+            v = t * t * 10 ** rng.uniform(-3.5, 1)  # some cells underflow to no mass
+            step = t / 4 * (rng.uniform(1e-3, 1) if k % 2 else 1 / int(rng.integers(1, 500)))
+            got, want = dist.discretize_trunc_gaussian(v, t, step), _trunc_gaussian_halves(v, t, step)
+            assert same_bytes(got, want) and got.log_probs.tobytes() == want.log_probs.tobytes()
+
+
+def _trunc_gaussian_halves(v, t, step):
+    """discretize_trunc_gaussian as first written: the positive half of the
+    grid and its weights, mirrored, with one branch for an odd cell count."""
+    n = int(math.ceil(2 * t / step - 1e-12))
+    h = 2 * t / n
+    if n % 2:
+        pos = np.concatenate(([0.0], (np.arange(n // 2) + 1.0) * h))
+        sup = np.concatenate((-pos[:0:-1], pos))
+    else:
+        pos = (np.arange(n // 2) + 0.5) * h
+        sup = np.concatenate((-pos[::-1], pos))
+    wpos = np.exp(-(pos * pos) / (2.0 * v))
+    w = np.concatenate((wpos[:0:-1] if n % 2 else wpos[::-1], wpos))
+    w = w / w.sum()
+    sup, w = sup[w > 0.0], w[w > 0.0]
+    w = w / w.sum()
+    return dist.FiniteDist(sup, w, np.log(w))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: pref.GambleGrid((0.0, 1.0), 0.0).gambles(), BadParams),
+        (lambda: pref.GambleGrid((0.0, 1.0), math.nan).gambles(), BadParams),
+        (lambda: dist.discretize_uniform(-math.inf, 0.0, 1.0), BadInterval),
+        (lambda: dist.discretize_uniform(0.0, math.inf, 1.0), BadInterval),
+        (lambda: dist.discretize_trunc_gaussian(1.0, math.inf, 1.0), BadParams),
+        (lambda: mas.evaluate_gaussian(mas.point_mass(1.0), 0.0, math.nan), BadSupport),
+        (lambda: mas.evaluate_gaussian(mas.point_mass(1.0), math.nan, 1.0), BadSupport),
+        (lambda: mas.extend_integer_approx(mas.statistic_mean, dist.make([0.5], [1.0]), 2.5),
+         BadParams),
+        (lambda: dist.iid_power(dist.make([0.5], [1.0]), math.nan), BadParams),
+    ],
+)
+def test_bad_library_input_raises_a_mas_error(call, error):
+    """Each of these escaped MasError (ZeroDivisionError, ValueError,
+    OverflowError), came back as NaN, or used a truncated n."""
+    with pytest.raises(error):
+        call()
 
 
 class TestDecayTwoPoint:

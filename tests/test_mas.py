@@ -194,6 +194,60 @@ class TestCompare:
             with pytest.raises(EmptyGrid):
                 mas.compare(mas.point_mass(1.0), mas.point_mass(2.0), [1.0, entry])
 
+    def test_same_order_and_witness_as_per_b_loop(self):
+        rng = np.random.default_rng(11)
+
+        def measure():
+            n = int(rng.integers(1, 6))
+            lattice = rng.random() < 0.3
+            locs = rng.integers(-3, 4, n).astype(float) if lattice else rng.uniform(-3, 3, n)
+            if rng.random() < 0.4:
+                locs[0 if rng.random() < 0.5 else -1] = -np.inf if rng.random() < 0.5 else np.inf
+            return mas.make_measure(locs, rng.dirichlet(np.ones(n)))
+
+        orders = set()
+        for _ in range(2000):
+            mu1 = measure()
+            mu2 = mu1 if rng.random() < 0.1 else measure()
+            grid = None
+            if rng.random() < 0.3:  # a caller's grid, unsorted, on and off the atoms
+                grid = np.concatenate((rng.uniform(-4, 4, 5), rng.integers(1, 4, 2)))
+            got = mas.compare(mu1, mu2, grid)
+            assert got == _compare_per_b(mu1, mu2, grid)
+            orders.add(got.order)
+            # one matrix product sums in another order than a dot per b;
+            # every term lies in [0, 1) and the weights sum to 1
+            b = mas.default_compare_grid(mu1, mu2) if grid is None else grid
+            loop = [_tail_integral_per_b(mu1, v) for v in b]
+            assert np.abs(mas._tail_integrals(mu1, b) - loop).max() <= 1e-14
+        assert orders == set(mas.CompareOrder)
+
+
+def _tail_integral_per_b(mu, b):
+    locs, wts = mu.locations, mu.weights
+    sel = locs >= b if b > 0 else locs <= b
+    vals = np.where(np.isinf(locs[sel]), 1.0, 1.0 - b / locs[sel])
+    return float(np.dot(wts[sel], vals))
+
+
+def _compare_per_b(mu1, mu2, b_grid):
+    """mas.compare as first written: a Python loop over b, two tail
+    integrals per point."""
+    tail = _tail_integral_per_b
+    grid = mas.default_compare_grid(mu1, mu2) if b_grid is None else b_grid
+    le = ge = True
+    witness = None
+    for b in grid:
+        i1, i2 = tail(mu1, b), tail(mu2, b)
+        le_fails = i1 > i2 + 1e-12 if b > 0 else i1 < i2 - 1e-12
+        ge_fails = i2 > i1 + 1e-12 if b > 0 else i2 < i1 - 1e-12
+        if le_fails and witness is None:
+            witness = float(b)
+        le, ge = le and not le_fails, ge and not ge_fails
+    order = {(True, True): mas.CompareOrder.EQ, (True, False): mas.CompareOrder.LE,
+             (False, True): mas.CompareOrder.GE}.get((le, ge), mas.CompareOrder.INCOMPARABLE)
+    return mas.CompareResult(order, None if le or ge else witness)
+
 
 class TestExtensions:
     def test_nonneg_identity(self):

@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mastat import dist, mas, pref
+from mastat import cli, dist, dominance, mas, pref
 from mastat.errors import (
     BadParams,
     BadSupport,
@@ -468,6 +470,96 @@ class TestFramingViolation:
             )
             is None
         )
+
+    MU = mas.make_measure([-0.5, 1.0], [0.5, 0.5])
+    PREFS = {
+        "median": (pref.median, pref.median),
+        "mean/mean-variance": (pref.preference_mean, pref.preference_mean_variance(1.0)),
+        "mas": (pref.preference_mas(MU), pref.preference_mas(MU)),
+    }
+
+    @pytest.mark.parametrize("step", [0.25, 0.5])  # criterion 12's grid, the benchmark's
+    @pytest.mark.parametrize("prefs", list(PREFS))
+    def test_same_quadruple_and_count_as_pair_lists(self, prefs, step):
+        grid = pref.GambleGrid((-2.0, -1.0, 0.0, 1.0), step, 2)
+        p1, p2 = self.PREFS[prefs]
+        assert pref.count_candidates(p1, p2, grid) == _count_by_pair_lists(p1, p2, grid)
+        for budget in (-1, 0, 1, 10, 1000, 10**5):
+            got = pref.find_framing_violation(p1, p2, grid, budget)
+            want = _search_by_pair_lists(p1, p2, grid, budget)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert all(same_bytes(a, b) for a, b in zip(got, want))
+
+    def test_count_with_nan_and_tied_values(self):
+        grid = pref.GambleGrid((-1.0, 0.0, 1.0, 2.0), 0.25, 2)
+        tied = lambda d: float(np.round(pref.preference_mean(d)))  # noqa: E731
+        nan = lambda d: math.nan if d.n_atoms == 1 else d.support[0]  # noqa: E731
+        for p1, p2 in ((tied, nan), (nan, pref.median), (tied, tied)):
+            assert pref.count_candidates(p1, p2, grid) == _count_by_pair_lists(p1, p2, grid)
+
+    # 462 gambles: listing the ranked pairs of both sides took 15.9 MB here
+    BIG = pref.GambleGrid(tuple(float(v) for v in range(6)), 1 / 6, 6)
+
+    def test_budget_bounds_the_search_memory(self):
+        tracemalloc.start()
+        try:
+            assert pref.find_framing_violation(pref.median, pref.median, self.BIG, 1) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_cli_budget_bounds_the_search_memory(self, capsys):
+        values = ",".join(map(str, self.BIG.values))
+        argv = ["violation-search", "--pref1", "median", "--pref2", "median",
+                f"--values={values}", "--prob-step", str(1 / 6), "--max-points", "6",
+                "--budget", "1"]
+        tracemalloc.start()
+        try:
+            assert cli.run(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out) == {"found": False}
+        assert peak < 8e6
+
+
+def _ranked_pair_list(preference, gambles):
+    """The search's ranked pairs as first written: every pair, listed."""
+    values = [preference(g) for g in gambles]
+    n = len(gambles)
+    return [(i, j) for i in range(n) for j in range(n) if values[i] > values[j]]
+
+
+def _search_by_pair_lists(pref1, pref2, grid, max_candidates):
+    """find_framing_violation as first written, on listed pairs and a dict memo."""
+    gambles = grid.gambles()
+    pairs1 = _ranked_pair_list(pref1, gambles)
+    pairs2 = _ranked_pair_list(pref2, gambles)
+    memo = {}
+
+    def conv(i, j):
+        key = (i, j) if i <= j else (j, i)
+        if key not in memo:
+            memo[key] = dist.convolve(gambles[key[0]], gambles[key[1]])
+        return memo[key]
+
+    examined = 0
+    for i, ip in pairs1:
+        for k, kp in pairs2:
+            examined += 1
+            if examined > max_candidates:
+                return None
+            res = dominance.fosd(conv(ip, kp), conv(i, k), tol=1e-12)
+            if res.dominates and res.strict:
+                return (gambles[i], gambles[ip], gambles[k], gambles[kp])
+    return None
+
+
+def _count_by_pair_lists(pref1, pref2, grid):
+    gambles = grid.gambles()
+    return len(_ranked_pair_list(pref1, gambles)) * len(_ranked_pair_list(pref2, gambles))
 
 
 class TestMedian:
