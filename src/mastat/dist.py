@@ -20,7 +20,6 @@ same distribution do not recompute them.
 """
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -81,9 +80,8 @@ class FiniteDist:
         """Mean, variance and support endpoints, computed on first use."""
         x = self.support
         mean = float(np.dot(self.probs, x))
-        # past 1e150 a squared deviation may overflow to inf, which k_a_many
-        # handles; np.errstate costs microseconds, so it is entered only then
-        with np.errstate(over="ignore") if x[-1] - x[0] > 1e150 else nullcontext():
+        # a squared deviation may overflow to inf, which k_a_many handles
+        with np.errstate(over="ignore"):
             var = float(np.dot(self.probs, (x - mean) ** 2))
         return Moments(mean, var, float(x[0]), float(x[-1]))
 
@@ -129,14 +127,15 @@ def _canonical(support, probs) -> FiniteDist:
 
     Input that is already canonical (strictly increasing with gaps above
     SNAP_TOL, all masses positive) skips the sort and merge; the result is
-    the same bytes either way.
+    the same bytes either way. A gap past the largest double is inf.
     """
-    if support.size and probs.min() > 0.0 and (
-        support.size == 1 or (support[1:] - support[:-1]).min() > SNAP_TOL
-    ):
-        probs = probs / probs.sum()
-        return FiniteDist(support.copy(), probs, np.log(probs))
-    return _sort_merge(support, probs)
+    with np.errstate(over="ignore"):
+        if probs.min() > 0.0 and (
+            support.size == 1 or (support[1:] - support[:-1]).min() > SNAP_TOL
+        ):
+            probs = probs / probs.sum()
+            return FiniteDist(support.copy(), probs, np.log(probs))
+        return _sort_merge(support, probs)
 
 
 def _sort_merge(support, probs) -> FiniteDist:
@@ -162,8 +161,6 @@ def _merge_sorted(values, weights, tol):
     exact).
     """
     n = values.shape[0]
-    if n == 0:
-        return values, weights
     brk = np.empty(n, dtype=bool)
     brk[0] = True
     np.greater(values[1:] - values[:-1], tol, out=brk[1:])

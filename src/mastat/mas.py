@@ -143,15 +143,21 @@ class CompareResult:
 
 def _tail_integrals(mu: MixingMeasure, grid: np.ndarray) -> np.ndarray:
     """Integral of (a - b)/a over [b, +inf] (b > 0) or [-inf, b] (b < 0),
-    for every b of the grid.
+    for every b of the grid, as W - b S: the sums of w and of w/a over a
+    suffix (b > 0) or prefix (b < 0) of the sorted atoms.
 
-    Atoms at the matching infinity contribute 1 - b/(+-inf) = 1; an atom at
-    a = b contributes 0 either way.
+    Atoms at the matching infinity add w to W and 0 to S; an atom at a = b
+    adds 0 either way. Memory is linear in atoms plus grid points.
     """
-    a, b = mu.locations, grid[:, None]
-    with np.errstate(divide="ignore"):  # b / 0 is computed, never selected
-        vals = np.where(np.where(b > 0, a >= b, a <= b), 1.0 - b / a, 0.0)
-    return vals @ mu.weights
+    a, w = mu.locations, mu.weights
+    # an atom at a = 0 lies in no tail; its w/a is set to 0, never used
+    terms = np.array((w, np.divide(w, a, out=np.zeros_like(w), where=a != 0.0)))
+    prefix, suffix = np.zeros((2, 2, a.size + 1))  # column k: atoms [:k], [k:]
+    np.cumsum(terms, axis=1, out=prefix[:, 1:])
+    np.cumsum(terms[:, ::-1], axis=1, out=suffix[:, -2::-1])
+    tail = np.where(grid > 0, suffix[:, np.searchsorted(a, grid, side="left")],
+                    prefix[:, np.searchsorted(a, grid, side="right")])
+    return tail[0] - grid * tail[1]
 
 
 def default_compare_grid(mu1: MixingMeasure, mu2: MixingMeasure) -> np.ndarray:

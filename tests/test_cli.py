@@ -322,6 +322,16 @@ class TestCsvOutputs:
         assert code == 0 and "nan" not in out
         assert "0.0,0.0" in out.splitlines()
 
+    def test_kprofile_span_past_the_largest_double(self, capsys, files):
+        # 1e308 - (-1e308) overflows a double; under the suite's
+        # error::RuntimeWarning filter a numpy warning fails this test
+        path = files["tmp"] / "widest.json"
+        path.write_text(json.dumps({"support": [-1e308, 1e308], "probs": [0.5, 0.5]}))
+        code = cli.run(["kprofile", "--dist", str(path), "--n-grid", "5"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0 and "0.0,0.0" in out
+        assert out[1] == "-inf,-1e+308" and out[-1] == "+inf,1e+308"
+
     def test_cdf_csv(self, capsys, files):
         code = cli.run(["cdf-csv", files["X"], files["Y"], "--add", files["Z"]])
         out = capsys.readouterr().out.splitlines()

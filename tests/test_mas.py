@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,12 +217,29 @@ class TestCompare:
             got = mas.compare(mu1, mu2, grid)
             assert got == _compare_per_b(mu1, mu2, grid)
             orders.add(got.order)
-            # one matrix product sums in another order than a dot per b;
-            # every term lies in [0, 1) and the weights sum to 1
+            # W - b S sums in another order than a dot per b; every term
+            # lies in [0, 1) and the weights sum to 1
             b = mas.default_compare_grid(mu1, mu2) if grid is None else grid
             loop = [_tail_integral_per_b(mu1, v) for v in b]
             assert np.abs(mas._tail_integrals(mu1, b) - loop).max() <= 1e-14
         assert orders == set(mas.CompareOrder)
+
+    def test_memory_is_linear_in_the_atoms(self):
+        # a (grid x atoms) table peaked at 69 MB at 1,000 atoms; the prefix
+        # and suffix sums peak at 1.4 MB there and 6.2 MB at 20,000
+        rng = np.random.default_rng(12)
+        for n in (1_000, 20_000):
+            mu1, mu2 = (mas.make_measure(np.append(rng.uniform(-3, 3, n - 1), np.inf),
+                                         rng.dirichlet(np.ones(n))) for _ in range(2))
+            tracemalloc.start()
+            try:
+                got = mas.compare(mu1, mu2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6
+            if n == 1_000:
+                assert got == _compare_per_b(mu1, mu2, None)
 
 
 def _tail_integral_per_b(mu, b):
