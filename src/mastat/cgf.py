@@ -80,11 +80,12 @@ def k_a_many(d: FiniteDist, avec: np.ndarray) -> np.ndarray:
     avec = np.asarray(avec, dtype=np.float64)
     m = d.moments
     scale = max(1.0, abs(m.lo), abs(m.hi))
-    absa = np.abs(avec) * scale
+    absa = np.abs(avec)
+    # a product of Python floats past the largest double is inf, with no warning
     if (
         avec.size
-        and (amin := absa.min()) >= _SMALL_A
-        and absa.max() <= _HUGE_A
+        and (amin := float(absa.min()) * scale) >= _SMALL_A
+        and float(absa.max()) * scale <= _HUGE_A
         and avec.ndim == 1
     ):
         # a 1-d vector whose every index is finite, clear of zero and below
@@ -97,6 +98,8 @@ def k_a_many(d: FiniteDist, avec: np.ndarray) -> np.ndarray:
         # infinite or past the huge cutoff (where a*x risks overflow): the
         # endpoint, which is exact to double precision there
         out = np.where(avec > 0, m.hi, m.lo)
+        # clipped so that the product stays finite; it still reads as past _HUGE_A
+        absa = np.minimum(absa, 2.0 * _HUGE_A / scale) * scale
         # near zero the direct path loses ~eps/|a|; use mean + a*var/2
         near = absa < _SMALL_A
         if near.any():

@@ -41,7 +41,8 @@ def warm_kernels():
 
 
 # Oracles for byte-identity tests: convolve, fosd and decay_two_point as
-# first written.
+# first written; iid_power with the squaring it had before it laid out only
+# the pairs i <= j.
 
 
 def convolve_d1_major(d1, d2):
@@ -49,6 +50,19 @@ def convolve_d1_major(d1, d2):
     vals = (d1.support[:, None] + d2.support[None, :]).ravel()
     wts = (d1.probs[:, None] * d2.probs[None, :]).ravel()
     return dist._canonical(vals, wts)
+
+
+def iid_power_full_square(d, n, cap=dist.SUPPORT_CAP):
+    """iid_power whose every squaring is convolve(base, base), all m * m
+    pairs laid out."""
+    acc, base = None, d
+    while True:
+        if n & 1:
+            acc = base if acc is None else dist.convolve(acc, base, cap=cap)
+        n >>= 1
+        if n == 0:
+            return acc
+        base = dist.convolve(base, base, cap=cap)
 
 
 def sort_merge_log_space(support, log_probs):

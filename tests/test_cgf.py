@@ -286,6 +286,23 @@ def _k_masked(d, avec):
     return np.clip(out, lo, hi)
 
 
+def test_huge_index_cutoff_at_the_largest_scale():
+    """|a| * scale past the largest double reads as past _HUGE_A, without a
+    warning: every entry is the bytes of the masked evaluation, whose own
+    product overflows to inf."""
+    lo, hi = -1.7e308, 1.7e308
+    d = dist.make([lo, hi], [0.3, 0.7])
+    cut = 1e300 / hi
+    a = np.array([1e-300, -1e-300, 1e-10, cut, np.nextafter(cut, 0.0),
+                  np.nextafter(cut, 1.0), 1.0, -1.0, 64.3, -64.3, 1e300, -1e300,
+                  np.inf, -np.inf])
+    got = cgf.k_a_many(d, a)
+    with np.errstate(over="ignore"):
+        want = _k_masked(d, a)
+    assert got.tobytes() == want.tobytes()
+    assert got[6:].tolist() == [hi, lo] * 4
+
+
 class TestSinglePass:
     """All-regular index vectors skip the masks; every entry must be the
     same bytes as the masked evaluation gives."""

@@ -332,6 +332,18 @@ class TestCsvOutputs:
         assert code == 0 and "0.0,0.0" in out
         assert out[1] == "-inf,-1e+308" and out[-1] == "+inf,1e+308"
 
+    def test_kprofile_index_times_scale_past_the_largest_double(self, capsys, files):
+        # |a| * 1.7e308 overflows for |a| > 1.06 on the default grid;
+        # under the suite's error::RuntimeWarning filter a numpy warning
+        # fails this test
+        path = files["tmp"] / "largest.json"
+        path.write_text(json.dumps({"support": [-1.7e308, 1.7e308], "probs": [0.3, 0.7]}))
+        code = cli.run(["kprofile", "--dist", str(path)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(out) == 1 + 201 + 2
+        assert out[1] == "-inf,-1.7e+308" and out[-1] == "+inf,1.7e+308"
+        assert out[-2] == "64.29341277923464,1.7e+308"
+
     def test_cdf_csv(self, capsys, files):
         code = cli.run(["cdf-csv", files["X"], files["Y"], "--add", files["Z"]])
         out = capsys.readouterr().out.splitlines()

@@ -22,6 +22,7 @@ from mastat.errors import (
 from conftest import (
     convolve_d1_major,
     decay_two_point_log_space,
+    iid_power_full_square,
     random_dist,
     same_bytes,
     seeded_law,
@@ -56,6 +57,12 @@ class TestMake:
         d = dist.make([0.0, 5e-10, 1.0], [0.25, 0.25, 0.5])
         assert d.n_atoms == 2
         assert d.probs[0] == pytest.approx(0.5, abs=1e-15)
+        assert dist.make([0.0, 5e-10], [0.5, 0.5]).n_atoms == 1
+        # SNAP_TOL is absolute: near 1e8 one ulp (1.49e-8) is past it, so
+        # adjacent doubles there stay two atoms
+        top = np.nextafter(1e8, np.inf)
+        assert top - 1e8 == pytest.approx(1.49e-8, rel=1e-2)
+        assert dist.make([1e8, top], [0.5, 0.5]).support.tolist() == [1e8, top]
 
     def test_zero_atoms_dropped(self):
         d = dist.make([0.0, 1.0, 2.0], [0.5, 0.0, 0.5])
@@ -181,6 +188,79 @@ class TestIidPower:
     def test_bad_n(self):
         with pytest.raises(BadParams):
             dist.iid_power(dist.make([0], [1.0]), 0)
+
+
+def _assert_power_contract(d, n, cap=dist.SUPPORT_CAP):
+    """iid_power(d, n) against the full squaring: the same atom count,
+    supports within 2e-15 * n * max(1, |x|) over d's support, masses
+    within 1e-14 relative. Returns False where both raise SupportBlowup."""
+    try:
+        want = iid_power_full_square(d, n, cap)
+    except SupportBlowup:
+        with pytest.raises(SupportBlowup):
+            dist.iid_power(d, n, cap=cap)
+        return False
+    got = dist.iid_power(d, n, cap=cap)
+    scale = n * max(1.0, -d.support[0], d.support[-1])
+    assert got.n_atoms == want.n_atoms
+    assert np.abs(got.support - want.support).max() <= 2e-15 * scale
+    assert (np.abs(got.probs - want.probs) <= 1e-14 * want.probs).all()
+    return True
+
+
+class TestIidPowerTriangle:
+    """iid_power squares over the pairs i <= j only; the full squaring of
+    tests/conftest.py is the oracle."""
+
+    def test_contract_on_seeded_laws(self):
+        # 20,000 laws of 1-12 atoms, n from 2 to 64: random supports at
+        # scales 1e-3..1e3, and 0.1- and 1-lattices over [-2, 2] and
+        # [-20, 20]. The cap keeps each power cheap; the laws that cross
+        # it must raise in both
+        rng = np.random.default_rng(2026)
+        count = 20_000
+        atoms, powers, kinds = (
+            rng.integers(lo, hi, count) for lo, hi in ((1, 13), (2, 65), (0, 3))
+        )
+        random = rng.uniform(-1.0, 1.0, (count, 12)) * 10.0 ** rng.integers(-3, 4, (count, 1))
+        lattice = np.argsort(rng.random((count, 41)), axis=1)[:, :12] - 20.0
+        lattice *= np.where(kinds == 1, 0.1, 1.0)[:, None]
+        supports = np.where((kinds == 0)[:, None], random, lattice)
+        masses = rng.exponential(1.0, (count, 12))
+        compared = 0
+        for m, n, x, w in zip(atoms.tolist(), powers.tolist(), supports, masses):
+            d = dist.make(np.sort(x[:m]), w[:m] / w[:m].sum())
+            compared += _assert_power_contract(d, n, cap=1 << 10)
+        assert compared > 4_000
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 3, 5, 7, 9, 31, 33, 63])
+    def test_powers_of_two_and_odd_n(self, n):
+        rng = np.random.default_rng(n)
+        for kind, scale in (("random", 1.0), ("lattice", 0.1), ("lattice", 1.0)):
+            assert _assert_power_contract(seeded_law(rng, 3, kind, scale), n)
+
+    def test_one_atom_base(self):
+        point = dist.make([1.5], [1.0])
+        for n in range(1, 65):
+            assert same_bytes(dist.iid_power(point, n), iid_power_full_square(point, n))
+
+    def test_blowup_at_the_oracles_n(self):
+        """Caps at m * m and m * m - 1 for the atom count m of a base that
+        is squared: the first n that raises is the oracle's."""
+        rng = np.random.default_rng(7)
+        for kind, scale in (("random", 1.0), ("lattice", 0.1)):
+            for n_atoms in (2, 3, 4):
+                d = seeded_law(rng, n_atoms, kind, scale)
+                base = d
+                for _ in range(3):
+                    base = dist.convolve(base, base)
+                m = base.n_atoms
+                for cap in (m * m, m * m - 1):
+                    for n in range(1, 25):
+                        _assert_power_contract(d, n, cap)
+                # the squaring of the 8-fold base is the first step past m * m - 1
+                with pytest.raises(SupportBlowup, match=f"enumerate {m * m} atom pairs"):
+                    dist.iid_power(d, 16, cap=m * m - 1)
 
 
 class TestMixture:
