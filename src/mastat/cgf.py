@@ -22,22 +22,31 @@ row-by-row reduction does, and splits 8 or more across 8 accumulators,
 which only the index-major memory order reproduces.
 
 k_dominates certifies K_a(X) > K_a(Y) + margin on the whole index
-interval. On the profile grid, a gap below -_FAIL_TOL is FAILS (witness:
-the first such index) and one at or below margin is WEAK. As a -> K_a is
-nondecreasing, the gap on a cell [a_k, a_(k+1)] is at least
-K_(a_k)(X) - K_(a_(k+1))(Y), from values already computed. Cells where
-this bracket does not clear the margin are halved in t = (2/pi) atan(a),
-where the infinite cells are finite, and each round's midpoints (one
-k_a_many call per law) are checked as the grid is. STRICT needs every
-bracket clear. The work is bounded: the check settles for WEAK when cells
-are still open after _HALVINGS rounds, or when the next round would take
-the new evaluations past _EXTRA_PER_POINT per grid point, so a call costs
-at most (1 + _EXTRA_PER_POINT) times the grid's K evaluations per law and
+interval. On the profile grid, a gap below -_FAIL_TOL * max(1, |x| over
+both supports) is FAILS (witness: the first such index) and one at or
+below margin is WEAK. As a -> K_a is nondecreasing, the gap on a cell
+[a_k, a_(k+1)] is at least K_(a_k)(X) - K_(a_(k+1))(Y), from values
+already computed. Cells where this bracket does not clear the margin are
+halved in t = (2/pi) atan(a), where the infinite cells are finite, and
+each round's midpoints (one k_a_many call per law) are checked as the
+grid is. STRICT needs every bracket clear. The work is bounded: the
+check settles for WEAK when cells are still open after _HALVINGS rounds,
+or when the next round would take the new evaluations past
+_EXTRA_PER_POINT per grid point, so a call costs at most
+(1 + _EXTRA_PER_POINT) times the grid's K evaluations per law and
 _HALVINGS + 1 k_a_many calls per law. A gap that clears the margin by only
 delta keeps about range(Y) / delta cells open, so it is WEAK, not STRICT:
-X = Y shifted up by 1e-9 is WEAK at margin 0. The bracket has no
-allowance for the rounding of K_a: no case is known where it flips one,
-and the bound is easiest to state on a unit-scale law.
+X = Y shifted up by 1e-9 is WEAK at margin 0.
+
+The FAILS threshold scales with the supports because one ulp of K_a
+does: it is 1.8e-12 near 1e4, where an absolute 1e-12 read rounding as
+failure (X = Y with an atom split by +-2e-9 gave a gap of -3.6e-12; the
+exact gap is above -7e-19). Nothing else allows for the rounding of K_a,
+and near a = 0 it is not ulp-sized: on unit-scale laws the max-shift
+form loses up to 4.4e-10 for |a| * scale in [1e-6, 1e-4) and 4.4e-12 in
+[1e-4, 1e-2), where the bracket's midpoints next to a = 0 fall. A gap
+sampled there can pass the FAILS threshold by rounding alone, and a
+STRICT verdict there is not certified against it.
 """
 
 import functools
@@ -60,7 +69,8 @@ _HUGE_A = 1e300
 #: laws with fewer atoms than this are evaluated atom-major (see module doc).
 _ATOM_MAJOR_BELOW = 8
 
-#: a K gap below -_FAIL_TOL is a failure of dominance, not rounding
+#: a K gap below -_FAIL_TOL * max(1, |support| of both laws) is a failure
+#: of dominance, not rounding
 _FAIL_TOL = 1e-12
 
 #: halving rounds of the bracket check before it settles for WEAK
@@ -202,6 +212,8 @@ def _k_dominates_on(dx, dy, margin, nonpositive):
     kx, ky = k_a_many(dx, a), k_a_many(dy, a)
     gap = kx - ky
     budget = _EXTRA_PER_POINT * a.size
+    ends = (dx.moments.lo, dx.moments.hi, dy.moments.lo, dy.moments.hi)
+    fail = _FAIL_TOL * max(1.0, *map(abs, ends))
     best = (math.inf, math.nan)
     # the cells [a_i, a_(i+1)] between neighbouring samples, as t at both
     # ends, K(X) at the left end and K(Y) at the right end
@@ -209,7 +221,7 @@ def _k_dominates_on(dx, dy, margin, nonpositive):
     for rounds in range(_HALVINGS + 1):
         k = int(np.argmin(gap))
         best = min(best, (float(gap[k]), float(a[k])))
-        bad = gap < -_FAIL_TOL
+        bad = gap < -fail
         if bad.any():
             return KDominanceResult(KOrder.FAILS, float(a[bad].min()), best[0])
         if best[0] <= margin:

@@ -4,10 +4,14 @@ Subcommands: phi, kprofile, classify, compare, dominance, catalyst,
 large-n, aggregate, indiff-pair, time-value, violation-search, cdf-csv,
 selftest.
 
-Results go to stdout as JSON (or CSV for kprofile / cdf-csv), or to the
---out file. Exit codes: 0 success or verified, 1 negative verdict, 2 input
-error, 3 budget exhaustion. All randomized runs take --seed (default 0);
-fixed seed means byte-identical output.
+Each subcommand is declared once, in _COMMANDS: its handler and its
+options, with the accepted range of those that have one. A handler returns
+(payload, exit code), the payload a dict for JSON or a list of lines for
+CSV (kprofile, cdf-csv) and text (selftest); run checks the ranges and
+writes the payload, to stdout or to the --out file. Exit codes: 0 success
+or verified, 1 negative verdict, 2 input error (malformed input, an option
+out of range or empty, an unwritable --out), 3 budget exhaustion. All randomized
+runs take --seed (default 0); fixed seed means byte-identical output.
 """
 
 import argparse
@@ -109,18 +113,6 @@ def cert_to_dict(cert: dominance.CatalystCertificate) -> dict:
     }
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(obj, out_path):
-    _emit(json.dumps(obj, indent=2) + "\n", out_path)
-
-
 def _utility_from_spec(spec: str) -> pref.UtilitySpec:
     if spec == "identity":
         return pref.UtilitySpec.identity()
@@ -151,77 +143,56 @@ def _pref_from_spec(spec: str):
 
 
 def _cmd_phi(args):
-    mu = load_measure(args.measure)
-    d = load_dist(args.dist)
-    _emit_json({"value": mas.evaluate(mu, d)}, args.out)
-    return 0
+    return {"value": mas.evaluate(load_measure(args.measure), load_dist(args.dist))}, 0
 
 
 def _cmd_kprofile(args):
-    d = load_dist(args.dist)
-    prof = cgf.k_profile(d, args.n_grid)
+    prof = cgf.k_profile(load_dist(args.dist), args.n_grid)
     lines = ["a,K"]
     for a, v in zip(prof.grid, prof.values):
         label = "+inf" if a == np.inf else "-inf" if a == -np.inf else repr(float(a))
         lines.append(f"{label},{float(v)!r}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return lines, 0
 
 
 def _cmd_classify(args):
     mu = load_measure(args.measure)
     if args.kind == "risk":
-        _emit_json({"risk": mas.classify_risk(mu).value}, args.out)
-        return 0
+        return {"risk": mas.classify_risk(mu).value}, 0
     cls = pref.classify_betweenness(mu)
-    obj = {
+    return {
         "betweenness": cls.kind.value,
         "satisfies": cls.satisfies,
         "a": cls.a,
         "beta": cls.beta,
         "reason": cls.reason,
-    }
-    _emit_json(obj, args.out)
-    return 0 if cls.satisfies else 1
+    }, 0 if cls.satisfies else 1
 
 
 def _cmd_compare(args):
     mu1 = load_measure(args.measure1)
     mu2 = load_measure(args.measure2)
-    grid = _numbers(args.b_grid, "--b-grid", text=True) if args.b_grid else None
+    grid = None if args.b_grid is None else _numbers(args.b_grid, "--b-grid", text=True)
     res = mas.compare(mu1, mu2, grid)
-    _emit_json({"order": res.order.value, "witness": res.witness}, args.out)
-    return 0 if res.order is not mas.CompareOrder.INCOMPARABLE else 1
+    incomparable = res.order is mas.CompareOrder.INCOMPARABLE
+    return {"order": res.order.value, "witness": res.witness}, 1 if incomparable else 0
 
 
 def _cmd_dominance(args):
-    d1 = load_dist(args.dist1)
-    d2 = load_dist(args.dist2)
     test = dominance.fosd if args.order == 1 else dominance.sosd
-    res = test(d1, d2, tol=args.tol)
-    _emit_json({"order": args.order, **dataclasses.asdict(res)}, args.out)
-    return 0 if res.dominates else 1
+    res = test(load_dist(args.dist1), load_dist(args.dist2), tol=args.tol)
+    return {"order": args.order, **dataclasses.asdict(res)}, 0 if res.dominates else 1
 
 
 def _cmd_catalyst(args):
-    d1 = load_dist(args.dist1)
-    d2 = load_dist(args.dist2)
-    find = (
-        dominance.find_catalyst_first
-        if args.order == 1
-        else dominance.find_catalyst_second
-    )
-    cert = find(d1, d2, margin=args.margin)
-    _emit_json(cert_to_dict(cert), args.out)
-    return 0 if cert.verified else 1
+    find = dominance.find_catalyst_first if args.order == 1 else dominance.find_catalyst_second
+    cert = find(load_dist(args.dist1), load_dist(args.dist2), margin=args.margin)
+    return cert_to_dict(cert), 0 if cert.verified else 1
 
 
 def _cmd_large_n(args):
-    d1 = load_dist(args.dist1)
-    d2 = load_dist(args.dist2)
-    n = dominance.large_numbers_n(d1, d2, args.n_max)
-    _emit_json({"n": n}, args.out)
-    return 0 if n is not None else 1
+    n = dominance.large_numbers_n(load_dist(args.dist1), load_dist(args.dist2), args.n_max)
+    return {"n": n}, 0 if n is not None else 1
 
 
 def _cmd_aggregate(args):
@@ -230,36 +201,30 @@ def _cmd_aggregate(args):
     rates, weights = _numbers(rates, f"{where}: rates"), _numbers(weights, f"{where}: weights")
     profile = pref.AgentProfile(tuple(rates), pref.UtilitySpec.identity())
     social = pref.aggregate(profile, weights)
-    out = {
+    return {
         "weights": list(social.weights),
         "rate": social.rate,
         "statistic": measure_to_dict(social.statistic),
-    }
-    _emit_json(out, args.out)
-    return 0
+    }, 0
 
 
 def _cmd_indiff_pair(args):
     rates = _numbers(args.rates, "--rates", text=True)
     pair = pref.indifference_pair(rates, args.c)
-    out = {
+    return {
         "T": dist_to_dict(pair.t_dist),
         "S": dist_to_dict(pair.s_dist),
         "c": pair.c,
         "eta": pair.eta,
         "d": list(pair.d_coeffs),
-    }
-    _emit_json(out, args.out)
-    return 0
+    }, 0
 
 
 def _cmd_time_value(args):
     t_dist = load_dist(args.dist)
     mu = load_measure(args.measure)
     u = _utility_from_spec(args.utility)
-    value = pref.time_value(args.x, t_dist, u, args.rate, mu)
-    _emit_json({"value": value}, args.out)
-    return 0
+    return {"value": pref.time_value(args.x, t_dist, u, args.rate, mu)}, 0
 
 
 def _cmd_violation_search(args):
@@ -269,20 +234,15 @@ def _cmd_violation_search(args):
     grid = pref.GambleGrid(values, args.prob_step, args.max_points)
     quad = pref.find_framing_violation(p1, p2, grid, max_candidates=args.budget)
     if quad is None:
-        _emit_json({"found": False}, args.out)
-        return 1
+        return {"found": False}, 1
     names = ("X", "X_rejected", "Y", "Y_rejected")
-    _emit_json(
-        {"found": True, **{k: dist_to_dict(d) for k, d in zip(names, quad)}},
-        args.out,
-    )
-    return 0
+    return {"found": True, **{k: dist_to_dict(d) for k, d in zip(names, quad)}}, 0
 
 
 def _cmd_cdf_csv(args):
     d1 = load_dist(args.dist1)
     d2 = load_dist(args.dist2)
-    if args.add:
+    if args.add is not None:
         z = load_dist(args.add)
         d1 = dist.convolve(d1, z)
         d2 = dist.convolve(d2, z)
@@ -293,16 +253,11 @@ def _cmd_cdf_csv(args):
     lines.extend(
         f"{float(x)!r},{float(a)!r},{float(b)!r}" for x, a, b in zip(pts, f, g)
     )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return lines, 0
 
 
 def _selftest_checks(seed):
     rng = np.random.default_rng(seed)
-    checks = []
-
-    def check(name, fn):
-        checks.append((name, fn))
 
     def fig1_pair():
         x = dist.make([0.0, 1.0], [2 / 3, 1 / 3])
@@ -314,22 +269,16 @@ def _selftest_checks(seed):
         assert not dominance.fosd(x, y).dominates
         assert not dominance.fosd(y, x).dominates
 
-    check("cdfs-not-ranked", c_not_ranked)
-
     def c_two_point_catalyst():
         x, y = fig1_pair()
         z = dist.make([-0.2, 0.2], [0.5, 0.5])
         res = dominance.fosd(dist.convolve(x, z), dist.convolve(y, z), tol=5e-3)
         assert res.dominates
 
-    check("two-point-catalyst", c_two_point_catalyst)
-
     def c_constructed_catalyst():
         x, y = fig1_pair()
         cert = dominance.find_catalyst_first(x, y)
         assert cert.verified and cert.worst_gap >= -1e-12
-
-    check("constructed-catalyst", c_constructed_catalyst)
 
     def c_additivity():
         for _ in range(50):
@@ -340,21 +289,15 @@ def _selftest_checks(seed):
             rhs = mas.evaluate(mu, d1) + mas.evaluate(mu, d2)
             assert abs(lhs - rhs) <= 1e-9
 
-    check("additivity", c_additivity)
-
     def c_compare_example():
         mu1 = mas.point_mass(2.0)
         mu2 = mas.make_measure([1.0, 3.0], [0.25, 0.75])
         assert mas.compare(mu1, mu2).order is mas.CompareOrder.LE
 
-    check("comparative-risk", c_compare_example)
-
     def c_aggregate():
         profile = pref.AgentProfile((1.0, 3.0), pref.UtilitySpec.identity())
         social = pref.aggregate(profile, [0.5, 0.5])
         assert social.rate == 1.5
-
-    check("aggregation-rate", c_aggregate)
 
     def c_indiff():
         pair = pref.indifference_pair([0.5, 1.0, 2.0], 0.99)
@@ -364,9 +307,15 @@ def _selftest_checks(seed):
             )
             assert abs(ratio - 0.99) <= 1e-10
 
-    check("indifference-pair", c_indiff)
-
-    return checks
+    return [
+        ("cdfs-not-ranked", c_not_ranked),
+        ("two-point-catalyst", c_two_point_catalyst),
+        ("constructed-catalyst", c_constructed_catalyst),
+        ("additivity", c_additivity),
+        ("comparative-risk", c_compare_example),
+        ("aggregation-rate", c_aggregate),
+        ("indifference-pair", c_indiff),
+    ]
 
 
 def _random_dist(rng, n_min=2, n_max=6, lo=-2.0, hi=2.0):
@@ -402,8 +351,73 @@ def _cmd_selftest(args):
             lines.append(f"FAIL {name}")
     lines.append(f"{'FAIL' if failures else 'ok'}: {len(lines) - failures}"
                  f"/{len(lines)} checks passed")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failures else 0
+    return lines, 1 if failures else 0
+
+
+#: every subcommand: its handler, then its options as (flag, argparse
+#: keywords[, accepted range]); each subcommand also takes --out
+_COMMANDS = {
+    "phi": (_cmd_phi, [
+        ("--measure", {"required": True}),
+        ("--dist", {"required": True}),
+    ]),
+    "kprofile": (_cmd_kprofile, [
+        ("--dist", {"required": True}),
+        ("--n-grid", {"type": int, "default": 201}, lambda v: v >= 3),
+    ]),
+    "classify": (_cmd_classify, [
+        ("--measure", {"required": True}),
+        ("--kind", {"choices": ("risk", "betweenness"), "default": "risk"}),
+    ]),
+    "compare": (_cmd_compare, [
+        ("measure1", {}),
+        ("measure2", {}),
+        ("--b-grid", {}),
+    ]),
+    "dominance": (_cmd_dominance, [
+        ("dist1", {}),
+        ("dist2", {}),
+        ("--order", {"type": int, "choices": (1, 2), "default": 1}),
+        ("--tol", {"type": float, "default": 1e-12}, lambda v: v >= 0),
+    ]),
+    "catalyst": (_cmd_catalyst, [
+        ("dist1", {}),
+        ("dist2", {}),
+        ("--order", {"type": int, "choices": (1, 2), "default": 1}),
+        ("--margin", {"type": float, "default": 1e-6}, lambda v: v >= 0),
+    ]),
+    "large-n": (_cmd_large_n, [
+        ("dist1", {}),
+        ("dist2", {}),
+        ("--n-max", {"type": int, "default": 32}, lambda v: v >= 1),
+    ]),
+    "aggregate": (_cmd_aggregate, [("profile", {})]),
+    "indiff-pair": (_cmd_indiff_pair, [
+        ("--rates", {"required": True}),
+        ("--c", {"type": float, "required": True}),
+    ]),
+    "time-value": (_cmd_time_value, [
+        ("--x", {"type": float, "required": True}),
+        ("--dist", {"required": True}),
+        ("--utility", {"default": "identity"}),
+        ("--rate", {"type": float, "required": True}),
+        ("--measure", {"required": True}),
+    ]),
+    "violation-search": (_cmd_violation_search, [
+        ("--pref1", {"required": True}),
+        ("--pref2", {"required": True}),
+        ("--values", {"default": "-2,-1,0,1"}),
+        ("--prob-step", {"type": float, "default": 0.25}, lambda v: 0 < v <= 1),
+        ("--max-points", {"type": int, "default": 2}, lambda v: v >= 1),
+        ("--budget", {"type": int, "default": 10**5}, lambda v: v >= 1),
+    ]),
+    "cdf-csv": (_cmd_cdf_csv, [
+        ("dist1", {}),
+        ("dist2", {}),
+        ("--add", {}),
+    ]),
+    "selftest": (_cmd_selftest, [("--seed", {"type": int, "default": 0}, lambda v: v >= 0)]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,146 +426,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monotone additive statistics toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, configure):
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--out", default=None)
-        configure(p)
-        p.set_defaults(fn=fn)
-        return p
-
-    add(
-        "phi",
-        _cmd_phi,
-        lambda p: (
-            p.add_argument("--measure", required=True),
-            p.add_argument("--dist", required=True),
-        ),
-    )
-    add(
-        "kprofile",
-        _cmd_kprofile,
-        lambda p: (
-            p.add_argument("--dist", required=True),
-            p.add_argument("--n-grid", type=int, default=201),
-        ),
-    )
-    add(
-        "classify",
-        _cmd_classify,
-        lambda p: (
-            p.add_argument("--measure", required=True),
-            p.add_argument("--kind", choices=("risk", "betweenness"), default="risk"),
-        ),
-    )
-    add(
-        "compare",
-        _cmd_compare,
-        lambda p: (
-            p.add_argument("measure1"),
-            p.add_argument("measure2"),
-            p.add_argument("--b-grid", default=None),
-        ),
-    )
-    add(
-        "dominance",
-        _cmd_dominance,
-        lambda p: (
-            p.add_argument("dist1"),
-            p.add_argument("dist2"),
-            p.add_argument("--order", type=int, choices=(1, 2), default=1),
-            p.add_argument("--tol", type=float, default=1e-12),
-        ),
-    )
-    add(
-        "catalyst",
-        _cmd_catalyst,
-        lambda p: (
-            p.add_argument("dist1"),
-            p.add_argument("dist2"),
-            p.add_argument("--order", type=int, choices=(1, 2), default=1),
-            p.add_argument("--margin", type=float, default=1e-6),
-        ),
-    )
-    add(
-        "large-n",
-        _cmd_large_n,
-        lambda p: (
-            p.add_argument("dist1"),
-            p.add_argument("dist2"),
-            p.add_argument("--n-max", type=int, default=32),
-        ),
-    )
-    add("aggregate", _cmd_aggregate, lambda p: p.add_argument("profile"))
-    add(
-        "indiff-pair",
-        _cmd_indiff_pair,
-        lambda p: (
-            p.add_argument("--rates", required=True),
-            p.add_argument("--c", type=float, required=True),
-        ),
-    )
-    add(
-        "time-value",
-        _cmd_time_value,
-        lambda p: (
-            p.add_argument("--x", type=float, required=True),
-            p.add_argument("--dist", required=True),
-            p.add_argument("--utility", default="identity"),
-            p.add_argument("--rate", type=float, required=True),
-            p.add_argument("--measure", required=True),
-        ),
-    )
-    add(
-        "violation-search",
-        _cmd_violation_search,
-        lambda p: (
-            p.add_argument("--pref1", required=True),
-            p.add_argument("--pref2", required=True),
-            p.add_argument("--values", default="-2,-1,0,1"),
-            p.add_argument("--prob-step", type=float, default=0.25),
-            p.add_argument("--max-points", type=int, default=2),
-            p.add_argument("--budget", type=int, default=10**5),
-        ),
-    )
-    add(
-        "cdf-csv",
-        _cmd_cdf_csv,
-        lambda p: (
-            p.add_argument("dist1"),
-            p.add_argument("dist2"),
-            p.add_argument("--add", default=None),
-        ),
-    )
-    add("selftest", _cmd_selftest, lambda p: p.add_argument("--seed", type=int, default=0))
+        p.add_argument("--out")
+        for flag, keywords, *_ in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
-def _validate(args) -> None:
-    checks = {
-        "tol": lambda v: v >= 0,
-        "margin": lambda v: v >= 0,
-        "n_grid": lambda v: v >= 3,
-        "n_max": lambda v: v >= 1,
-        "budget": lambda v: v >= 1,
-        "prob_step": lambda v: 0 < v <= 1,
-        "max_points": lambda v: v >= 1,
-    }
-    for name, good in checks.items():
-        value = getattr(args, name, None)
-        if value is not None and not good(value):
-            raise InputError(f"--{name.replace('_', '-')} out of range: {value}")
-
-
 def run(argv) -> int:
-    parser = build_parser()
+    """Run one subcommand: check its options' ranges, call its handler and
+    write the payload (a dict as JSON, a list of lines as text) to stdout or
+    to --out. Returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    handler, options = _COMMANDS[args.command]
     try:
-        _validate(args)
-        return args.fn(args)
+        for flag, _, *in_range in options:
+            value = getattr(args, flag.lstrip("-").replace("-", "_"))
+            if in_range and not in_range[0](value):
+                raise InputError(f"{flag} out of range: {value}")
+        payload, code = handler(args)
+        lines = [json.dumps(payload, indent=2)] if isinstance(payload, dict) else payload
+        text = "\n".join(lines) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"{args.out}: {exc}") from exc
+        return code
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

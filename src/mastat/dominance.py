@@ -10,8 +10,10 @@ cgf. Its STRICT verdict holds on the whole index interval, not only on
 the profile grid: a -> K_a is nondecreasing, so each grid cell is
 bracketed by K at its ends and halved until the bracket clears the
 margin, for at most 40 rounds and 16 new K evaluations per grid point
-(else WEAK), with no allowance for the rounding of K (see the cgf module
-doc). The returned certificate is machine-checked: the dominance sweep
+(else WEAK). Only its FAILS threshold allows for the rounding of K, in
+proportion to the supports' scale; near a = 0 that rounding can be larger
+than the threshold, and the STRICT bracket does not allow for it (see the
+cgf module doc). The returned certificate is machine-checked: the dominance sweep
 over every breakpoint of the convolved cdfs is part of construction, not
 a test-only step, and `verified` is set only when the worst gap clears
 -1e-12.

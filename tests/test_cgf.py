@@ -203,6 +203,31 @@ class TestKDominates:
         assert cgf.k_a(x, res.witness) < cgf.k_a(y, res.witness) - 1e-12
         assert res.min_gap < -1e-12
 
+    def test_rounding_at_large_scale_is_not_failure(self):
+        # the middle atom split by +-2e-9 moves the exact gap by less than
+        # 7e-19, but one ulp of K near 1e4 is 1.8e-12 and the computed gap
+        # reads -3.64e-12, which an absolute 1e-12 threshold called FAILS
+        y = dist.make([1e4, 1e4 + 1, 1e4 + 2], [0.3, 0.4, 0.3])
+        x = dist.make([1e4, 1e4 + 1 - 2e-9, 1e4 + 1 + 2e-9, 1e4 + 2], [0.3, 0.2, 0.2, 0.3])
+        res = cgf.k_dominates(x, y)
+        assert res.order is cgf.KOrder.WEAK and res.min_gap < -1e-12
+        # a genuine failure at the same scale still reads FAILS
+        res = cgf.k_dominates(x, dist.shift(y, 1e-6))
+        assert res.order is cgf.KOrder.FAILS and res.min_gap < -9e-7
+
+    def test_split_and_shift_near_1e5_is_weak(self):
+        # X is Y with its middle atom split by +-2e-9, shifted up by 1e-11
+        # (one ulp, 1.455e-11, at 1e5): the exact gap is positive at every
+        # index, but 36 of these 300 laws read FAILS with an absolute
+        # threshold
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            s = 1e5 + np.sort(rng.uniform(0.0, 2.0, 3))
+            p = rng.dirichlet(np.ones(3))
+            y = dist.make(s, p)
+            x = dist.make([s[0], s[1] - 2e-9, s[1] + 2e-9, s[2]], [p[0], p[1] / 2, p[1] / 2, p[2]])
+            assert cgf.k_dominates(dist.shift(x, 1e-11), y).order is cgf.KOrder.WEAK, (s, p)
+
     def test_open_cells_after_the_last_round_are_weak(self, monkeypatch):
         monkeypatch.setattr(cgf, "_HALVINGS", 0)
         res = cgf.k_dominates(*grid_miss_pair(), margin=1e-6)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,45 @@ class TestVerdictsAndCodes:
         assert cli.run(["dominance", files["X"]]) == 2  # missing argument
         assert cli.run(["dominance", files["X"], files["Y"], "--tol", "-1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["kprofile", "--dist", "X", "--n-grid", "2"],
+        ["dominance", "X", "Y", "--tol", "-1"],
+        ["catalyst", "X", "Y", "--margin", "-1"],
+        ["large-n", "X", "Y", "--n-max", "0"],
+        ["violation-search", "--pref1", "median", "--pref2", "median", "--budget", "0"],
+        ["violation-search", "--pref1", "median", "--pref2", "median", "--prob-step", "0"],
+        ["violation-search", "--pref1", "median", "--pref2", "median", "--prob-step", "1.5"],
+        ["violation-search", "--pref1", "median", "--pref2", "median", "--max-points", "0"],
+        ["selftest", "--seed", "-1"],  # used to end in a ValueError traceback
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_option_out_of_range_is_input_error(self, capsys, files, argv):
+        argv = [files.get(arg, arg) for arg in argv]
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {argv[-2]} out of range") and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "m2", "m13", "--b-grid="],  # used to compare on the default grid
+        ["cdf-csv", "X", "Y", "--add="],  # used to add no catalyst
+        ["kprofile", "--dist", "X", "--out="],  # used to write to stdout
+    ])
+    def test_empty_option_value_is_input_error(self, capsys, files, argv):
+        assert cli.run([files.get(arg, arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+    @pytest.mark.parametrize("cmd, where", [("phi", "missing"), ("kprofile", "directory")])
+    def test_unwritable_out_is_input_error(self, capsys, files, cmd, where):
+        # used to end in a FileNotFoundError or IsADirectoryError traceback
+        out = files["tmp"] / "missing" / "x.json" if where == "missing" else files["tmp"]
+        argv = {
+            "phi": ["phi", "--measure", files["m0"], "--dist", files["X"]],
+            "kprofile": ["kprofile", "--dist", files["X"]],
+        }[cmd]
+        assert cli.run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out}: ") and captured.out == ""
+
     def test_dominance_nan_prob_is_input_error(self, files):
         path = files["tmp"] / "nan.json"
         path.write_text(json.dumps({"support": [0, 1], "probs": [math.nan, 1.0]}))
@@ -302,6 +342,39 @@ class TestVerdictsAndCodes:
         monkeypatch.setattr(dominance_mod, "_Z_ATOMS", (9,))
         monkeypatch.setattr(dominance_mod, "_V_DOUBLINGS", 0)
         assert cli.run(["catalyst", files["X"], files["Y"]]) == 3
+
+
+#: every subcommand and the flags and arguments its --help names
+SURFACE = {
+    "phi": "--measure --dist",
+    "kprofile": "--dist --n-grid",
+    "classify": "--measure --kind",
+    "compare": "measure1 measure2 --b-grid",
+    "dominance": "dist1 dist2 --order --tol",
+    "catalyst": "dist1 dist2 --order --margin",
+    "large-n": "dist1 dist2 --n-max",
+    "aggregate": "profile",
+    "indiff-pair": "--rates --c",
+    "time-value": "--x --dist --utility --rate --measure",
+    "violation-search": "--pref1 --pref2 --values --prob-step --max-points --budget",
+    "cdf-csv": "dist1 dist2 --add",
+    "selftest": "--seed",
+}
+
+
+def test_surface_is_the_command_table():
+    assert SURFACE == {
+        name: " ".join(flag for flag, *_ in options)
+        for name, (_, options) in cli._COMMANDS.items()
+    }
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_help_names_every_flag(capsys, command):
+    assert cli.run([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for flag in SURFACE[command].split() + ["--out"]:
+        assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", out), flag
 
 
 class TestCsvOutputs:

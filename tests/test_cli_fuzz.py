@@ -1,7 +1,9 @@
 """Fuzz the CLI input boundary: every subcommand that reads a JSON file or
-a list option gets well-formed and malformed input. Whatever the input,
-the command must exit 0, 1, 2 or 3, never end in a traceback, and never
-print nan.
+a list option gets well-formed and malformed input, selftest gets seeds
+that are mostly negative, and any of them may get an --out that is a
+missing directory, an existing one or empty. Whatever the input, the command
+must exit 0, 1, 2 or 3, never end in a traceback, and never print nan;
+with an unwritable --out it must print nothing and not exit 0.
 
 Run time stays bounded: well-formed numbers lie in [-1e6, 1e6], laws have
 at most five atoms, catalyst gets only malformed files, --n-max is at most
@@ -126,13 +128,15 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _check(argv):
+def _check(argv, unwritable):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     assert "nan" not in out.getvalue().lower(), (argv, out.getvalue())
+    if unwritable:
+        assert code != 0 and out.getvalue() == "", (argv, code)
 
 
 def _files(draw, workdir, texts):
@@ -186,15 +190,22 @@ def _argv(draw, workdir, command):
                 f"--values={draw(option_list())}",
                 "--prob-step", draw(st.sampled_from(["0.25", "0.5", "1"])),
                 "--max-points", draw(st.sampled_from(["1", "2"]))]
+    if command == "selftest":
+        return ["selftest", "--seed", str(draw(st.integers(-2**64, 0)))]
     d1, d2, z = _files(draw, workdir, [dists, dists, dists])
     return ["cdf-csv", d1, d2] + (["--add", z] if draw(st.booleans()) else [])
 
 
 @pytest.mark.parametrize("command", [
     "phi", "kprofile", "classify", "compare", "dominance", "catalyst", "large-n",
-    "aggregate", "indiff-pair", "time-value", "violation-search", "cdf-csv",
+    "aggregate", "indiff-pair", "time-value", "violation-search", "cdf-csv", "selftest",
 ])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cli_input_boundary(workdir, command, data):
-    _check(_argv(data.draw, workdir, command))
+    argv = _argv(data.draw, workdir, command)
+    out = data.draw(st.sampled_from([None, None, "missing", "directory", "empty"]))
+    if out is not None:
+        where = {"missing": workdir / "missing" / "out.json", "directory": workdir, "empty": ""}
+        argv.append(f"--out={where[out]}")
+    _check(argv, unwritable=out is not None)
