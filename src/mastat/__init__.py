@@ -8,73 +8,4 @@ constructive catalytic dominance certificates, risk classification and
 comparison, and time-preference evaluation and aggregation.
 """
 
-from .dist import (
-    FiniteDist,
-    SNAP_TOL,
-    SUPPORT_CAP,
-    cdf,
-    convolve,
-    decay_two_point,
-    discretize_trunc_gaussian,
-    discretize_uniform,
-    iid_power,
-    make,
-    mixture,
-    moments,
-    negate,
-    shift,
-)
-from .cgf import KDominanceResult, KOrder, KProfile, k_a, k_a_many, k_dominates, k_profile
-from .mas import (
-    CompareOrder,
-    CompareResult,
-    FamilyMode,
-    MixingMeasure,
-    RiskClass,
-    classify_risk,
-    compare,
-    evaluate,
-    evaluate_family,
-    evaluate_gaussian,
-    extend_from_nonneg,
-    extend_integer_approx,
-    make_measure,
-    point_mass,
-)
-from .dominance import (
-    CatalystCertificate,
-    CatalystParams,
-    FosdResult,
-    SosdResult,
-    find_catalyst_first,
-    find_catalyst_second,
-    fosd,
-    fosd_with_catalyst,
-    large_numbers_n,
-    sosd,
-    sosd_with_catalyst,
-    verify_certificate,
-)
-from .pref import (
-    AgentProfile,
-    BetweennessClass,
-    BetweennessKind,
-    GambleGrid,
-    IndifferencePair,
-    SocialPreference,
-    UtilitySpec,
-    aggregate,
-    betweenness_form,
-    classify_betweenness,
-    discount_factor,
-    find_framing_violation,
-    indifference_pair,
-    median,
-    pareto_check,
-    risk_invariant_value,
-    time_value,
-    utility_value,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -12,6 +12,21 @@ Evaluation is max-shift stabilized and works on log-probabilities, so it
 stays exact for atoms whose linear mass underflows a double. Values are
 clipped to [min, max], where the exact statistic always lies.
 
+Rounding. For a law of n atoms with width w = max - min and scale =
+max(1, |x|) over its support, the computed K_a lies within
+
+    eps * (4 scale + (n + 2 ln n) / |a|)        for |a| scale in [1e-6, 1e300],
+    eps * (n + 1) scale + a^2 w^3 / 60          for |a| scale below 1e-6,
+
+of the exact K_a of the law with its stored masses normalised (eps =
+2^-52, first order in eps). The first is the max-shift form: a x_i, log
+p_i, the shifted exponents, the sum and its log each round, and the log's
+error is divided by a, so near a = 0 it is far above an ulp (7.5e-10 for
+two atoms at |a| = 1e-6). The second is mean + a var / 2, whose rounding
+is the mean's and whose truncation is at most a^2 |kappa_3| / 6 with
+|kappa_3| <= w^3 / (6 sqrt 3). Past 1e300 the endpoint is within
+|log p| / |a| < eps scale.
+
 `_k_direct` works on one atoms x indices buffer in place. For laws of
 fewer than 8 atoms its memory is atom-major, so max and sum run down
 contiguous rows; from 8 atoms on it is the transposed view of an
@@ -42,11 +57,9 @@ The FAILS threshold scales with the supports because one ulp of K_a
 does: it is 1.8e-12 near 1e4, where an absolute 1e-12 read rounding as
 failure (X = Y with an atom split by +-2e-9 gave a gap of -3.6e-12; the
 exact gap is above -7e-19). Nothing else allows for the rounding of K_a,
-and near a = 0 it is not ulp-sized: on unit-scale laws the max-shift
-form loses up to 4.4e-10 for |a| * scale in [1e-6, 1e-4) and 4.4e-12 in
-[1e-4, 1e-2), where the bracket's midpoints next to a = 0 fall. A gap
-sampled there can pass the FAILS threshold by rounding alone, and a
-STRICT verdict there is not certified against it.
+whose bound above grows as 1/|a| where the bracket's midpoints next to
+a = 0 fall. A gap sampled there can pass the FAILS threshold by rounding
+alone, and a STRICT verdict there is not certified against it.
 """
 
 import functools

@@ -131,7 +131,7 @@ def _utility_from_spec(spec: str) -> pref.UtilitySpec:
 
 def _pref_from_spec(spec: str):
     if spec == "mean":
-        return pref.preference_mean
+        return mas.statistic_mean
     if spec == "median":
         return pref.median
     if spec.startswith("mean-variance:"):
@@ -281,10 +281,18 @@ def _selftest_checks(seed):
         assert cert.verified and cert.worst_gap >= -1e-12
 
     def c_additivity():
+        # laws of 2-5 atoms on [-2, 2], kept apart, and measures of 1-3
+        # atoms on [-3, 3], all with Dirichlet(1) masses: the rng calls, in
+        # order, of the test suite's random_dist and random_measure
         for _ in range(50):
-            d1 = _random_dist(rng)
-            d2 = _random_dist(rng)
-            mu = _random_measure(rng)
+            laws = []
+            for _ in range(2):
+                n = int(rng.integers(2, 6))
+                support = np.sort(rng.uniform(-2.0, 2.0, n)) + np.arange(n) * 1e-6
+                laws.append(dist.make(support, rng.dirichlet(np.ones(n))))
+            d1, d2 = laws
+            n = int(rng.integers(1, 4))
+            mu = mas.make_measure(rng.uniform(-3.0, 3.0, n), rng.dirichlet(np.ones(n)))
             lhs = mas.evaluate(mu, dist.convolve(d1, d2))
             rhs = mas.evaluate(mu, d1) + mas.evaluate(mu, d2)
             assert abs(lhs - rhs) <= 1e-9
@@ -316,27 +324,6 @@ def _selftest_checks(seed):
         ("aggregation-rate", c_aggregate),
         ("indifference-pair", c_indiff),
     ]
-
-
-def _random_dist(rng, n_min=2, n_max=6, lo=-2.0, hi=2.0):
-    """A law of n_min .. n_max - 1 atoms uniform on [lo, hi], with
-    Dirichlet(1) masses: selftest's random laws, and the test suite's."""
-    n = int(rng.integers(n_min, n_max))
-    support = np.sort(rng.uniform(lo, hi, n))
-    support += np.arange(n) * 1e-6  # keep atoms apart
-    probs = rng.dirichlet(np.ones(n))
-    return dist.make(support, probs)
-
-
-def _random_measure(rng, n_min=1, n_max=4, lo=-3.0, hi=3.0, allow_inf=False):
-    """A mixing measure of n_min .. n_max - 1 atoms uniform on [lo, hi]; with
-    allow_inf, the first atom moves to -inf or +inf three times in ten."""
-    n = int(rng.integers(n_min, n_max))
-    locs = rng.uniform(lo, hi, n)
-    if allow_inf and rng.random() < 0.3:
-        locs[0] = -np.inf if rng.random() < 0.5 else np.inf
-    wts = rng.dirichlet(np.ones(n))
-    return mas.make_measure(locs, wts)
 
 
 def _cmd_selftest(args):
@@ -419,6 +406,10 @@ _COMMANDS = {
     "selftest": (_cmd_selftest, [("--seed", {"type": int, "default": 0}, lambda v: v >= 0)]),
 }
 
+#: the options that name a file to read; left empty, each is an input
+#: error that names the option (an empty --out fails when it is written)
+_PATHS = {"--measure", "--dist", "measure1", "measure2", "dist1", "dist2", "profile", "--add"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -435,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Run one subcommand: check its options' ranges, call its handler and
-    write the payload (a dict as JSON, a list of lines as text) to stdout or
-    to --out. Returns the exit code."""
+    """Run one subcommand: check its options' ranges and that no path is
+    empty, call its handler and write the payload (a dict as JSON, a list of
+    lines as text) to stdout or to --out. Returns the exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -446,6 +437,8 @@ def run(argv) -> int:
     try:
         for flag, _, *in_range in options:
             value = getattr(args, flag.lstrip("-").replace("-", "_"))
+            if value == "" and flag in _PATHS:
+                raise InputError(f"{flag}: empty path")
             if in_range and not in_range[0](value):
                 raise InputError(f"{flag} out of range: {value}")
         payload, code = handler(args)
@@ -458,7 +451,7 @@ def run(argv) -> int:
                 with open(args.out, "w") as fh:
                     fh.write(text)
             except OSError as exc:
-                raise InputError(f"{args.out}: {exc}") from exc
+                raise InputError(f"{args.out}: {exc}" if args.out else "--out: empty path") from exc
         return code
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -439,10 +439,6 @@ def count_candidates(
     return count
 
 
-def preference_mean(d: FiniteDist) -> float:
-    return moments(d).mean
-
-
 def preference_mean_variance(k: float) -> Callable[[FiniteDist], float]:
     def pref(d: FiniteDist) -> float:
         m = moments(d)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mastat import cli, dist
-from conftest import grid_miss_pair
+from conftest import grid_miss_pair, random_dist, random_measure, same_bytes
 
 
 @pytest.fixture
@@ -95,6 +95,19 @@ class TestVerdictsAndCodes:
         )
         assert code == 1 and not obj["satisfies"]
 
+    @pytest.mark.parametrize("atoms, reason", [
+        ([{"a": "inf", "w": 1.0}], "point mass at an infinite index"),
+        ([{"a": "-inf", "w": 1.0}], "point mass at an infinite index"),
+        ([{"a": "-inf", "w": 0.5}, {"a": 1.0, "w": 0.5}], "one atom is infinite"),
+    ])
+    def test_classify_betweenness_infinite_atoms(self, capsys, files, atoms, reason):
+        path = files["tmp"] / "inf.json"
+        path.write_text(json.dumps({"atoms": atoms}))
+        code, obj = run_json(capsys, ["classify", "--measure", str(path), "--kind", "betweenness"])
+        assert code == 1
+        assert obj["betweenness"] == "not_betweenness" and not obj["satisfies"]
+        assert reason in obj["reason"]
+
     def test_compare(self, capsys, files):
         code, obj = run_json(capsys, ["compare", files["m2"], files["m13"]])
         assert code == 0 and obj["order"] == "le"
@@ -182,15 +195,17 @@ class TestVerdictsAndCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {argv[-2]} out of range") and captured.out == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["compare", "m2", "m13", "--b-grid="],  # used to compare on the default grid
-        ["cdf-csv", "X", "Y", "--add="],  # used to add no catalyst
-        ["kprofile", "--dist", "X", "--out="],  # used to write to stdout
-    ])
-    def test_empty_option_value_is_input_error(self, capsys, files, argv):
+    @pytest.mark.parametrize("argv, flag", [
+        (["compare", "m2", "m13", "--b-grid="], "--b-grid"),  # used to compare on the default grid
+        (["cdf-csv", "X", "Y", "--add="], "--add"),  # used to add no catalyst
+        (["kprofile", "--dist", "X", "--out="], "--out"),  # used to write to stdout
+        (["phi", "--measure=", "--dist", "X"], "--measure"),
+        (["dominance", "", "Y"], "dist1"),
+    ], ids=[f"argv{i}" for i in range(5)])
+    def test_empty_option_value_is_input_error(self, capsys, files, argv, flag):
         assert cli.run([files.get(arg, arg) for arg in argv]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and captured.out == ""
+        assert captured.err.startswith(f"error: {flag}") and captured.out == ""
 
     @pytest.mark.parametrize("cmd, where", [("phi", "missing"), ("kprofile", "directory")])
     def test_unwritable_out_is_input_error(self, capsys, files, cmd, where):
@@ -443,10 +458,44 @@ class TestDeterminism:
         assert capsys.readouterr().out == first
         assert "checks passed" in first
 
+    def test_selftest_draws_the_suite_laws(self, monkeypatch):
+        # the additivity check draws, for every seed, the laws and measures
+        # that conftest's random_dist and random_measure draw at their defaults
+        for seed in range(100):
+            drawn = []
+            monkeypatch.setattr(cli.mas, "evaluate", lambda mu, d: drawn.append((mu, d)) or 0.0)
+            (check,) = (fn for name, fn in cli._selftest_checks(seed) if name == "additivity")
+            check()
+            monkeypatch.undo()
+            rng = np.random.default_rng(seed)
+            for mu_sum, (mu1, d1), (mu2, d2) in zip(*[iter(drawn)] * 3):
+                want = random_dist(rng), random_dist(rng), random_measure(rng)
+                assert mu_sum[0] is mu1 is mu2
+                assert same_bytes(d1, want[0]) and same_bytes(d2, want[1])
+                for field in ("locations", "weights"):
+                    assert getattr(mu1, field).tobytes() == getattr(want[2], field).tobytes()
+            assert len(drawn) == 150
+
+    def test_selftest_failure_report(self, capsys, monkeypatch):
+        real = cli._selftest_checks
+
+        def fail():
+            raise AssertionError
+
+        monkeypatch.setattr(cli, "_selftest_checks", lambda seed: [
+            (name, fail if name == "additivity" else fn) for name, fn in real(seed)
+        ])
+        assert cli.run(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL additivity" in lines and lines.count("FAIL additivity") == 1
+        assert sum(line.startswith("ok   ") for line in lines) == 6
+        assert lines[-1] == "FAIL: 6/7 checks passed"
+
     def test_out_file_round_trip(self, files, capsys):
         out = str(files["tmp"] / "cert.json")
         assert cli.run(["catalyst", files["X"], files["Y"], "--out", out]) == 0
-        obj = json.loads(open(out).read())
+        with open(out) as fh:
+            obj = json.load(fh)
         z1 = dist.make(obj["catalyst"]["support"], obj["catalyst"]["probs"])
         # numbers survive the round trip without loss beyond 1e-15
         obj2 = json.loads(json.dumps(cli.dist_to_dict(z1)))

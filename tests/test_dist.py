@@ -282,6 +282,11 @@ class TestMixture:
         assert m.support.tolist() == [0.0, 2.0]
         assert m.probs.tolist() == pytest.approx([0.75, 0.25])
 
+    def test_lambda_at_the_ends_is_one_law(self):
+        d1, d2 = dist.make([0, 1], [0.5, 0.5]), dist.make([2], [1.0])
+        assert dist.mixture(d1, d2, 1.0) is d1
+        assert dist.mixture(d1, d2, 0.0) is d2
+
     def test_lambda_range(self):
         d = dist.make([0], [1.0])
         with pytest.raises(LambdaOutOfRange):

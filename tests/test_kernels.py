@@ -423,3 +423,23 @@ def test_compensated_accumulation_precision():
 
 def test_active_path_reports():
     assert _kernels.active_path() == "numpy"
+
+
+def test_rows_that_do_not_pay_sweep_as_one_row(monkeypatch):
+    # 6,000 support points times 16 catalyst atoms is 96,000 breakpoints,
+    # past _ONE_ROW_MAX, but the support is so much wider than a catalyst
+    # cell that no row width pays for its convolutions: _row_width gives
+    # None and every breakpoint is sorted as one row, as the oracle does
+    rng = np.random.default_rng(12)
+    x = dist.make(rng.uniform(0.0, 3000.0, 3000), rng.dirichlet(np.ones(3000)))
+    y = dist.shift(x, -0.5)
+    z = dist.discretize_trunc_gaussian(0.01, 0.08, 0.01)
+    assert z.n_atoms == 16
+    widths = []
+    real = dominance._row_width
+    monkeypatch.setattr(dominance, "_row_width", lambda *args: widths.append(real(*args)) or widths[-1])
+    u, s = dominance._signed_masses(x, y)
+    assert u.size * z.n_atoms == 96_000
+    for order in (1, 2):
+        assert dominance._conv_gap_sweep(u, s, z, order) == _sweep_oracle(u, s, z, order)
+    assert widths == [None, None]

@@ -159,6 +159,21 @@ class TestParetoCheck:
             pairs.append(((x, t), (y, s)))
         assert pref.pareto_check(profile, social, pairs) is None
 
+    def test_pair_that_is_not_unanimous_is_skipped(self):
+        # 1 now against 5 at time 1: the agent at rate 1 prefers the later
+        # prize, the agent at rate 3 the earlier one, so the pair is not
+        # unanimous and is not checked, although a social rate of 0.5 ranks
+        # the earlier prize lower; for an agent at rate 3 alone it is checked
+        now, later = dist.make([0.0], [1.0]), dist.make([1.0], [1.0])
+        pair = ((1.0, now), (5.0, later))
+        profile = self._profile()
+        assert [1.0 > 5.0 * pref.discount_factor(later, r) for r in profile.rates] == [False, True]
+        social = pref.aggregate(profile, [0.5, 0.5])
+        slow = pref.SocialPreference(social.weights, social.statistic, 0.5)
+        assert pref.pareto_check(profile, slow, [pair]) is None
+        alone = pref.AgentProfile((3.0,), pref.UtilitySpec.identity())
+        assert pref.pareto_check(alone, slow, [pair, pair]) == 0
+
     def test_corrupted_rate_violates(self):
         profile = self._profile()
         social = pref.aggregate(profile, [0.5, 0.5])
@@ -307,6 +322,18 @@ class TestBetweenness:
         assert cls.a == pytest.approx(1.7, abs=1e-12)
         assert cls.beta == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.parametrize("locs, wts", [
+        ([np.inf], [1.0]),
+        ([-np.inf], [1.0]),
+        ([-np.inf, 0.5], [0.3, 0.7]),
+        ([-1.0, np.inf], [0.5, 0.5]),
+    ])
+    def test_classify_infinite_atoms_not_betweenness(self, locs, wts):
+        cls = pref.classify_betweenness(mas.make_measure(locs, wts))
+        assert cls.kind is pref.BetweennessKind.NOT_BETWEENNESS
+        assert not cls.satisfies and cls.a is None and cls.beta is None
+        assert "infinite" in cls.reason
+
     def test_classify_minmax_flagged(self):
         mu = mas.make_measure([-np.inf, np.inf], [0.4, 0.6])
         cls = pref.classify_betweenness(mu)
@@ -433,7 +460,7 @@ class TestFramingViolation:
 
     def test_wealth_invariance_insufficient(self):
         quad = pref.find_framing_violation(
-            pref.preference_mean,
+            mas.statistic_mean,
             pref.preference_mean_variance(1.0),
             self.GRID,
             max_candidates=10**5,
@@ -474,7 +501,7 @@ class TestFramingViolation:
     MU = mas.make_measure([-0.5, 1.0], [0.5, 0.5])
     PREFS = {
         "median": (pref.median, pref.median),
-        "mean/mean-variance": (pref.preference_mean, pref.preference_mean_variance(1.0)),
+        "mean/mean-variance": (mas.statistic_mean, pref.preference_mean_variance(1.0)),
         "mas": (pref.preference_mas(MU), pref.preference_mas(MU)),
     }
 
@@ -493,7 +520,7 @@ class TestFramingViolation:
 
     def test_count_with_nan_and_tied_values(self):
         grid = pref.GambleGrid((-1.0, 0.0, 1.0, 2.0), 0.25, 2)
-        tied = lambda d: float(np.round(pref.preference_mean(d)))  # noqa: E731
+        tied = lambda d: float(np.round(mas.statistic_mean(d)))  # noqa: E731
         nan = lambda d: math.nan if d.n_atoms == 1 else d.support[0]  # noqa: E731
         for p1, p2 in ((tied, nan), (nan, pref.median), (tied, tied)):
             assert pref.count_candidates(p1, p2, grid) == _count_by_pair_lists(p1, p2, grid)
