@@ -36,6 +36,15 @@ sum adds fewer than 8 elements one after another, exactly as the
 row-by-row reduction does, and splits 8 or more across 8 accumulators,
 which only the index-major memory order reproduces.
 
+The profile grid (k_profile, and k_dominates on all of it or on its
+nonpositive half) skips k_a_many's masks: its interior takes one _k_direct
+call (a = 0 replaced by its neighbour, a column then overwritten), and
+K_(-inf), K_0 and K_(+inf) come from the moments (lo, mean + 0, hi). The
+bytes are the masked path's, as _k_direct reduces each index's atoms on
+their own, whichever indices share the call. Where |a| scale leaves
+[_SMALL_A, _HUGE_A] on the interior (scale past 1.5e298 at 201 points,
+n_grid past 3.1e6), the grid goes through k_a_many.
+
 k_dominates certifies K_a(X) > K_a(Y) + margin on the whole index
 interval. On the profile grid, a gap below -_FAIL_TOL * max(1, |x| over
 both supports) is FAILS (witness: the first such index) and one at or
@@ -48,8 +57,9 @@ grid is. STRICT needs every bracket clear. The work is bounded: the
 check settles for WEAK when cells are still open after _HALVINGS rounds,
 or when the next round would take the new evaluations past
 _EXTRA_PER_POINT per grid point, so a call costs at most
-(1 + _EXTRA_PER_POINT) times the grid's K evaluations per law and
-_HALVINGS + 1 k_a_many calls per law. A gap that clears the margin by only
+(1 + _EXTRA_PER_POINT) times the grid's K evaluations per law, and at
+most _HALVINGS k_a_many calls per law past the grid; the result records
+the rounds and evaluations made. A gap that clears the margin by only
 delta keeps about range(Y) / delta cells open, so it is WEAK, not STRICT:
 X = Y shifted up by 1e-9 is WEAK at margin 0.
 
@@ -176,9 +186,11 @@ def profile_grid(n_grid: int = 201) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _grid(n_grid: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(t, profile_grid(n_grid)): the grid is tan(pi t / 2) on an even
-    t-grid over [-1, 1], whose ends t = -1 and 1 stand for -inf and +inf."""
+def _grid(n_grid: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """(t, profile_grid(n_grid), regular interior, its min and max |a|): the
+    grid is tan(pi t / 2) on an even t-grid over [-1, 1], whose ends t = -1
+    and 1 stand for -inf and +inf; the regular interior is the grid without
+    its ends, with a = 0 replaced by its right neighbour."""
     if n_grid < 3:
         raise BadParams("n_grid must be at least 3")
     if n_grid % 2 == 0:
@@ -187,13 +199,30 @@ def _grid(n_grid: int) -> Tuple[np.ndarray, np.ndarray]:
     interior = np.tan(np.pi * t[1:-1] / 2.0)
     t[n_grid // 2 + 1] = interior[n_grid // 2] = 0.0
     grid = np.concatenate(([-np.inf], interior, [np.inf]))
-    t.flags.writeable = grid.flags.writeable = False
-    return t, grid
+    interior[n_grid // 2] = interior[n_grid // 2 + 1]
+    t.flags.writeable = grid.flags.writeable = interior.flags.writeable = False
+    absa = np.abs(interior)
+    return t, grid, interior, float(absa.min()), float(absa.max())
+
+
+def _k_grid(d: FiniteDist, n_grid: int, nonpositive: bool = False) -> np.ndarray:
+    """The bytes of k_a_many on the profile grid or its nonpositive half."""
+    _, grid, interior, amin, amax = _grid(n_grid)
+    m = d.moments
+    scale = max(1.0, abs(m.lo), abs(m.hi))
+    c = grid.size // 2
+    a = grid[: c + 1] if nonpositive else grid
+    if not (amin * scale >= _SMALL_A and amax * scale <= _HUGE_A):
+        return k_a_many(d, a)
+    out = np.empty(a.size)
+    out[1:-1] = _k_direct(d, interior[: a.size - 2])
+    # mean + 0 * var / 2 at a = 0, as k_a_many's second-order branch gives
+    out[0], out[-1], out[c] = m.lo, m.hi, m.mean + 0.0
+    return out.clip(m.lo, m.hi, out=out)
 
 
 def k_profile(d: FiniteDist, n_grid: int = 201) -> KProfile:
-    grid = profile_grid(n_grid)
-    return KProfile(grid, k_a_many(d, grid))
+    return KProfile(profile_grid(n_grid), _k_grid(d, n_grid))
 
 
 class KOrder(Enum):
@@ -207,6 +236,8 @@ class KDominanceResult:
     order: KOrder
     witness: Optional[float]
     min_gap: float
+    rounds: int  # rounds of halving made
+    evaluations: int  # K evaluations per law, the profile grid's included
 
 
 def k_dominates(dx: FiniteDist, dy: FiniteDist, margin: float = 0.0) -> KDominanceResult:
@@ -219,11 +250,12 @@ def _k_dominates_on(dx, dy, margin, nonpositive):
     """k_dominates, on [-inf, 0] only if nonpositive. FAILS names the
     smallest index with a failing gap in the first round that has one; WEAK
     names the index with the smallest gap sampled, and min_gap is that gap."""
-    t, a = _grid(201)
+    t, a = _grid(201)[:2]
     if nonpositive:
         t, a = t[: t.size // 2 + 1], a[: a.size // 2 + 1]
-    kx, ky = k_a_many(dx, a), k_a_many(dy, a)
+    kx, ky = _k_grid(dx, 201, nonpositive), _k_grid(dy, 201, nonpositive)
     gap = kx - ky
+    evaluations = a.size
     budget = _EXTRA_PER_POINT * a.size
     ends = (dx.moments.lo, dx.moments.hi, dy.moments.lo, dy.moments.hi)
     fail = _FAIL_TOL * max(1.0, *map(abs, ends))
@@ -236,14 +268,14 @@ def _k_dominates_on(dx, dy, margin, nonpositive):
         best = min(best, (float(gap[k]), float(a[k])))
         bad = gap < -fail
         if bad.any():
-            return KDominanceResult(KOrder.FAILS, float(a[bad].min()), best[0])
+            return KDominanceResult(KOrder.FAILS, float(a[bad].min()), best[0], rounds, evaluations)
         if best[0] <= margin:
             break
         # keep the cells whose bracket K_(a_i)(X) - K_(a_(i+1))(Y) does not
         # clear the margin
         keep = xl - yr <= margin
         if not keep.any():
-            return KDominanceResult(KOrder.STRICT, None, best[0])
+            return KDominanceResult(KOrder.STRICT, None, best[0], rounds, evaluations)
         tl, tr, xl, yr = tl[keep], tr[keep], xl[keep], yr[keep]
         budget -= tl.size
         if rounds == _HALVINGS or budget < 0:
@@ -251,8 +283,9 @@ def _k_dominates_on(dx, dy, margin, nonpositive):
         mid = (tl + tr) / 2.0
         a = np.tan(np.pi * mid / 2.0)
         mx, my = k_a_many(dx, a), k_a_many(dy, a)
+        evaluations += a.size
         gap = mx - my
         # each cell splits into [tl, mid] and [mid, tr]
         tl, tr = np.concatenate((tl, mid)), np.concatenate((mid, tr))
         xl, yr = np.concatenate((xl, mx)), np.concatenate((my, yr))
-    return KDominanceResult(KOrder.WEAK, best[1], best[0])
+    return KDominanceResult(KOrder.WEAK, best[1], best[0], rounds, evaluations)

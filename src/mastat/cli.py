@@ -113,7 +113,14 @@ def cert_to_dict(cert: dominance.CatalystCertificate) -> dict:
     }
 
 
-def _utility_from_spec(spec: str) -> pref.UtilitySpec:
+def _spec_path(path, flag):
+    """The path of a spec such as mas:PATH; empty, an error naming flag."""
+    if not path:
+        raise InputError(f"{flag}: empty path")
+    return path
+
+
+def _utility_from_spec(spec: str, flag: str) -> pref.UtilitySpec:
     if spec == "identity":
         return pref.UtilitySpec.identity()
     if spec == "log":
@@ -121,7 +128,7 @@ def _utility_from_spec(spec: str) -> pref.UtilitySpec:
     if spec.startswith("power:"):
         return pref.UtilitySpec.power(_numbers(spec[6:], "power exponent", one=True, text=True))
     if spec.startswith("table:"):
-        path = spec[6:]
+        path = _spec_path(spec[6:], flag)
         (points,) = _fields(_read_json(path), path, "points")
         xs, us = _columns(points, f"{path}: points", "x", "u")
         xs, us = _numbers(xs, f"{path}: points x"), _numbers(us, f"{path}: points u")
@@ -129,7 +136,7 @@ def _utility_from_spec(spec: str) -> pref.UtilitySpec:
     raise InputError(f"unknown utility spec {spec!r}")
 
 
-def _pref_from_spec(spec: str):
+def _pref_from_spec(spec: str, flag: str):
     if spec == "mean":
         return mas.statistic_mean
     if spec == "median":
@@ -138,7 +145,7 @@ def _pref_from_spec(spec: str):
         k = _numbers(spec[14:], "mean-variance k", one=True, text=True)
         return pref.preference_mean_variance(k)
     if spec.startswith("mas:"):
-        return pref.preference_mas(load_measure(spec.split(":", 1)[1]))
+        return pref.preference_mas(load_measure(_spec_path(spec[4:], flag)))
     raise InputError(f"unknown preference spec {spec!r}")
 
 
@@ -223,13 +230,13 @@ def _cmd_indiff_pair(args):
 def _cmd_time_value(args):
     t_dist = load_dist(args.dist)
     mu = load_measure(args.measure)
-    u = _utility_from_spec(args.utility)
+    u = _utility_from_spec(args.utility, "--utility")
     return {"value": pref.time_value(args.x, t_dist, u, args.rate, mu)}, 0
 
 
 def _cmd_violation_search(args):
-    p1 = _pref_from_spec(args.pref1)
-    p2 = _pref_from_spec(args.pref2)
+    p1 = _pref_from_spec(args.pref1, "--pref1")
+    p2 = _pref_from_spec(args.pref2, "--pref2")
     values = tuple(_numbers(args.values, "--values", text=True))
     grid = pref.GambleGrid(values, args.prob_step, args.max_points)
     quad = pref.find_framing_violation(p1, p2, grid, max_candidates=args.budget)

@@ -13,7 +13,9 @@ margin, for at most 40 rounds and 16 new K evaluations per grid point
 (else WEAK). Only its FAILS threshold allows for the rounding of K, in
 proportion to the supports' scale; near a = 0 that rounding can be larger
 than the threshold, and the STRICT bracket does not allow for it (see the
-cgf module doc). The returned certificate is machine-checked: the dominance sweep
+cgf module doc). If X already dominates Y, the catalyst is the point mass
+at 0, one FiniteDist (frozen, arrays read-only) that all such certificates
+share. The returned certificate is machine-checked: the dominance sweep
 over every breakpoint of the convolved cdfs is part of construction, not
 a test-only step, and `verified` is set only when the worst gap clears
 -1e-12.
@@ -58,6 +60,10 @@ from .errors import (
 )
 
 _GAP_TOL = 1e-12
+
+#: the catalyst when X already dominates Y; FiniteDist is frozen and its
+#: arrays read-only, so every certificate shares this one
+_POINT_ZERO = FiniteDist(np.zeros(1), np.ones(1), np.zeros(1))
 
 #: atom-count ladder for the catalyst discretization (cap 2**14)
 _Z_ATOMS = (129, 1025, 8193, 16384)
@@ -511,8 +517,7 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
     if direct.dominates:
         worst = direct.min_gap if order == 1 else direct.min_integral
         params = CatalystParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        point_zero = FiniteDist(np.zeros(1), np.ones(1), np.zeros(1))
-        return CatalystCertificate(point_zero, name, params, True, worst)
+        return CatalystCertificate(_POINT_ZERO, name, params, True, worst)
     mx, my = dx.support, dy.support
     # normalize min[Y'] = -N and max[X'] = N (order 1) or everything
     # inside [-N, N] (order 2)

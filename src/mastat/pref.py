@@ -279,57 +279,31 @@ def betweenness_form(beta: float, a: float) -> MixingMeasure:
 
 def classify_betweenness(mu: MixingMeasure) -> BetweennessClass:
     locs, wts = mu.locations, mu.weights
+
+    def fails(reason, kind=BetweennessKind.NOT_BETWEENNESS, beta=None):
+        return BetweennessClass(kind, False, beta=beta, reason=reason)
+
     if locs.size == 1:
         if np.isfinite(locs[0]):
             return BetweennessClass(BetweennessKind.POINT_MASS, True, a=float(locs[0]))
-        return BetweennessClass(
-            BetweennessKind.NOT_BETWEENNESS,
-            False,
-            reason="a point mass at an infinite index is min/max, which fails "
-            "the mixture-indifference requirement",
-        )
-    if locs.size == 2:
-        a1, a2 = float(locs[0]), float(locs[1])
-        if a1 == -np.inf and a2 == np.inf:
-            return BetweennessClass(
-                BetweennessKind.MIN_MAX_PAIR,
-                False,
-                beta=float(wts[0]),
-                reason="min/max mixtures keep mixture indifference only one way "
-                "and fail the full axiom",
-            )
-        if not (np.isfinite(a1) and np.isfinite(a2)):
-            return BetweennessClass(
-                BetweennessKind.NOT_BETWEENNESS,
-                False,
-                reason="one atom is infinite and the other finite",
-            )
-        if not (a1 < 0 < a2):
-            return BetweennessClass(
-                BetweennessKind.NOT_BETWEENNESS,
-                False,
-                reason="two-atom form needs atoms straddling zero",
-            )
-        span = a2 - a1
-        expected_w1 = -a1 / span
-        if abs(float(wts[0]) - expected_w1) <= 1e-10:
-            return BetweennessClass(
-                BetweennessKind.BALANCED_PAIR,
-                True,
-                a=span,
-                beta=expected_w1,
-            )
-        return BetweennessClass(
-            BetweennessKind.NOT_BETWEENNESS,
-            False,
-            reason=f"weight on {a1:g} is {float(wts[0]):g}, balanced form "
-            f"requires {expected_w1:g}",
-        )
-    return BetweennessClass(
-        BetweennessKind.NOT_BETWEENNESS,
-        False,
-        reason=f"{locs.size} atoms; betweenness admits at most two",
-    )
+        return fails("a point mass at an infinite index is min/max, which fails "
+                     "the mixture-indifference requirement")
+    if locs.size != 2:
+        return fails(f"{locs.size} atoms; betweenness admits at most two")
+    a1, a2 = float(locs[0]), float(locs[1])
+    if a1 == -np.inf and a2 == np.inf:
+        return fails("min/max mixtures keep mixture indifference only one way "
+                     "and fail the full axiom", BetweennessKind.MIN_MAX_PAIR, float(wts[0]))
+    if not (np.isfinite(a1) and np.isfinite(a2)):
+        return fails("one atom is infinite and the other finite")
+    if not (a1 < 0 < a2):
+        return fails("two-atom form needs atoms straddling zero")
+    span = a2 - a1
+    expected_w1 = -a1 / span
+    if abs(float(wts[0]) - expected_w1) <= 1e-10:
+        return BetweennessClass(BetweennessKind.BALANCED_PAIR, True, a=span, beta=expected_w1)
+    return fails(f"weight on {a1:g} is {float(wts[0]):g}, balanced form "
+                 f"requires {expected_w1:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,8 @@ class TestKDominates:
         res = cgf.k_dominates(lo, hi)
         assert res.order is cgf.KOrder.FAILS
         assert res.witness is not None
+        # decided on the profile grid: no halving, one K per grid point
+        assert res.rounds == 0 and res.evaluations == cgf.profile_grid().size
         # the witness really is a failure point
         assert cgf.k_a(lo, res.witness) < cgf.k_a(hi, res.witness) - 1e-12
 
@@ -253,6 +255,10 @@ class TestKDominates:
             assert res.order is cgf.KOrder.WEAK and 0.0 < res.min_gap < 2e-9
             assert sum(counted) <= 2 * (1 + cgf._EXTRA_PER_POINT) * size
             assert len(counted) <= 2 * (cgf._HALVINGS + 1)
+            # the grid is not evaluated by k_a_many; the midpoints are
+            assert 0 < res.rounds <= cgf._HALVINGS and len(counted) == 2 * res.rounds
+            assert res.evaluations == size + sum(counted) // 2
+            assert res.evaluations <= (1 + cgf._EXTRA_PER_POINT) * size
 
     def test_strict_holds_between_grid_points(self):
         """The two-top-atom family X = {x0: 1 - p, 1: p}, Y = {y0: 1 - q,
@@ -367,11 +373,53 @@ class TestSinglePass:
             a = np.array(self.SPECIAL)
             assert cgf.k_a_many(d, a).tobytes() == _k_masked(d, a).tobytes()
 
-    def test_profile_grid(self):
+    def test_profile_grid(self, monkeypatch):
+        """k_profile and the grid check evaluate the grid's regular interior
+        in one _k_direct call, and fall back to k_a_many when |a| * scale
+        leaves [_SMALL_A, _HUGE_A] there: both are the masked path's bytes,
+        on the whole grid and on its nonpositive half."""
+        calls = []
+        k_a_many = cgf.k_a_many
+
+        def spy(d, avec):
+            calls.append(d)
+            return k_a_many(d, avec)
+
         _, dists = self._dists()
+        point = dist.make([-0.0], [1.0])
+        wide = dist.make([-1e200, 1e200], [0.5, 0.5])  # the variance overflows
+        huge = dist.make([1e299, 3e299], [0.4, 0.6])  # past _HUGE_A: the fallback
+        for n_grid in (3, 10, 51, 201, 1001):
+            grid = cgf.profile_grid(n_grid)
+            half = grid[: grid.size // 2 + 1]
+            for d in dists + [point, wide, huge]:
+                monkeypatch.setattr(cgf, "k_a_many", spy)
+                calls.clear()
+                got = cgf.k_profile(d, n_grid).values
+                got_half = cgf._k_grid(d, n_grid, nonpositive=True)
+                # |a| * scale passes _HUGE_A at the grid's ends from 5 points on
+                assert calls == ([d, d] if d is huge and n_grid > 3 else [])
+                monkeypatch.undo()
+                assert got.tobytes() == cgf.k_a_many(d, grid).tobytes()
+                assert got_half.tobytes() == cgf.k_a_many(d, half).tobytes()
+                if np.isfinite(d.moments.variance):
+                    assert got.tobytes() == _k_masked(d, grid).tobytes()
+                    assert got_half.tobytes() == _k_masked(d, half).tobytes()
+            assert cgf.k_profile(wide, n_grid).values[grid.size // 2] == 0.0
+            # one atom at -0.0: every K is that atom, the mean's sign aside
+            assert (cgf.k_profile(point, n_grid).values == 0.0).all()
+        # a _SMALL_A above the grid's smallest |a| sends the grid through
+        # k_a_many's second-order branch
+        d = dists[0]
         grid = cgf.profile_grid(201)
-        for d in dists:
-            assert cgf.k_a_many(d, grid).tobytes() == _k_masked(d, grid).tobytes()
+        monkeypatch.setattr(cgf, "_SMALL_A", 0.05)
+        got = cgf.k_profile(d, 201).values
+        assert got.tobytes() == cgf.k_a_many(d, grid).tobytes()
+        near = np.abs(grid) * max(1.0, abs(d.moments.lo), abs(d.moments.hi)) < 0.05
+        assert near.sum() > 1
+        m = d.moments
+        want = (m.mean + grid[near] * m.variance / 2.0).clip(m.lo, m.hi)
+        assert got[near].tobytes() == want.tobytes()
 
     def test_profile_grid_built_once_read_only(self):
         for n_grid in (3, 10, 51, 201):

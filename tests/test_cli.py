@@ -201,7 +201,12 @@ class TestVerdictsAndCodes:
         (["kprofile", "--dist", "X", "--out="], "--out"),  # used to write to stdout
         (["phi", "--measure=", "--dist", "X"], "--measure"),
         (["dominance", "", "Y"], "dist1"),
-    ], ids=[f"argv{i}" for i in range(5)])
+        # an empty path inside a spec used to read as the file ''
+        (["violation-search", "--pref1", "mas:", "--pref2", "median"], "--pref1"),
+        (["violation-search", "--pref1", "median", "--pref2", "mas:"], "--pref2"),
+        (["time-value", "--x", "1", "--dist", "X", "--rate", "0.1", "--measure", "m0",
+          "--utility", "table:"], "--utility"),
+    ], ids=[f"argv{i}" for i in range(8)])
     def test_empty_option_value_is_input_error(self, capsys, files, argv, flag):
         assert cli.run([files.get(arg, arg) for arg in argv]) == 2
         captured = capsys.readouterr()
