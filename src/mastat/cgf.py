@@ -250,6 +250,8 @@ def _k_dominates_on(dx, dy, margin, nonpositive):
     """k_dominates, on [-inf, 0] only if nonpositive. FAILS names the
     smallest index with a failing gap in the first round that has one; WEAK
     names the index with the smallest gap sampled, and min_gap is that gap."""
+    if math.isnan(margin):  # every `<= margin` test would be false: STRICT
+        raise BadParams("margin must not be NaN")
     t, a = _grid(201)[:2]
     if nonpositive:
         t, a = t[: t.size // 2 + 1], a[: a.size // 2 + 1]

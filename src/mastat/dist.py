@@ -43,7 +43,8 @@ from .errors import (
 #: Absolute snap tolerance: support points closer than this merge into one atom.
 SNAP_TOL = 1e-9
 
-#: Cap on support sizes produced by convolution (guards against silent blowup).
+#: Cap on the atom pairs one convolution may enumerate (guards against silent
+#: blowup); convolve and iid_power read it at each call.
 SUPPORT_CAP = 1 << 20
 
 MASS_TOL = 1e-9
@@ -203,7 +204,7 @@ def make(support, probs) -> FiniteDist:
     return _canonical(support, probs)
 
 
-def convolve(d1: FiniteDist, d2: FiniteDist, *, cap: int = SUPPORT_CAP) -> FiniteDist:
+def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
     """Distribution of X + Y for independent X ~ d1, Y ~ d2.
 
     fl(a + b) is monotone, so the pair sums are laid out as rows that are
@@ -219,11 +220,8 @@ def convolve(d1: FiniteDist, d2: FiniteDist, *, cap: int = SUPPORT_CAP) -> Finit
     atom keep ascending d1 order in both layouts. Where d2 has sub-ulp gaps
     (support near 1e8 against {0, 4e-9, 8e-9}), the sums stay d1-major.
     """
-    n_pairs = d1.n_atoms * d2.n_atoms
-    if n_pairs > cap:
-        raise SupportBlowup(
-            f"convolution would enumerate {n_pairs} atom pairs (cap {cap})"
-        )
+    if (n_pairs := d1.n_atoms * d2.n_atoms) > SUPPORT_CAP:
+        raise SupportBlowup(f"convolution would enumerate {n_pairs} atom pairs (cap {SUPPORT_CAP})")
     x, y = d1.support, d2.support
     if 1 < y.size < x.size and d2.min_gap > 2.0 * math.ulp(
         max(-x[0], x[-1]) + max(-y[0], y[-1])
@@ -245,7 +243,7 @@ def _positive_int(n, what: str = "n") -> int:
     return int(n)
 
 
-def iid_power(d: FiniteDist, n: int, *, cap: int = SUPPORT_CAP) -> FiniteDist:
+def iid_power(d: FiniteDist, n: int) -> FiniteDist:
     """Sum of n i.i.d. copies of d, by binary exponentiation.
 
     A squaring lays out only the pairs i <= j (row i: the sorted sums
@@ -260,12 +258,14 @@ def iid_power(d: FiniteDist, n: int, *, cap: int = SUPPORT_CAP) -> FiniteDist:
     base = d
     while True:
         if n & 1:
-            acc = base if acc is None else convolve(acc, base, cap=cap)
+            acc = base if acc is None else convolve(acc, base)
         n >>= 1
         if n == 0:
             return acc
-        if (m := base.n_atoms) * m > cap:
-            raise SupportBlowup(f"convolution would enumerate {m * m} atom pairs (cap {cap})")
+        if (m := base.n_atoms) * m > SUPPORT_CAP:
+            raise SupportBlowup(
+                f"convolution would enumerate {m * m} atom pairs (cap {SUPPORT_CAP})"
+            )
         lens = np.arange(m, 0, -1)
         starts = np.cumsum(lens) - lens  # row i starts at its diagonal pair
         j = np.arange(starts[-1] + 1) - np.repeat(starts - np.arange(m), lens)

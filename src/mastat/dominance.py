@@ -15,10 +15,13 @@ proportion to the supports' scale; near a = 0 that rounding can be larger
 than the threshold, and the STRICT bracket does not allow for it (see the
 cgf module doc). If X already dominates Y, the catalyst is the point mass
 at 0, one FiniteDist (frozen, arrays read-only) that all such certificates
-share. The returned certificate is machine-checked: the dominance sweep
-over every breakpoint of the convolved cdfs is part of construction, not
-a test-only step, and `verified` is set only when the worst gap clears
--1e-12.
+share, and the worst gap is fosd's or sosd's. Otherwise the paper's band
+floor delta is read off the signed masses, not searched for (the proof is
+in _construct). The returned certificate is machine-checked: the dominance
+sweep over every breakpoint of the convolved cdfs is part of construction,
+not a test-only step, on the same signed masses that verify_certificate
+sweeps, so worst_gap equals the re-verification exactly; `verified` is set
+only when the worst gap clears -1e-12.
 
 The sweep does not sort every breakpoint once there are more than
 _ONE_ROW_MAX of them. It bins the merged support and the catalyst onto
@@ -50,7 +53,6 @@ from .dist import (
     convolve,
     discretize_trunc_gaussian,
     merged_support,
-    shift,
 )
 from .errors import (
     BudgetExhausted,
@@ -458,50 +460,26 @@ def verify_certificate(
     return _conv_gap_sweep(u, s, cert.catalyst, 1 if cert.order == "first" else 2)[0]
 
 
-def _band_positive_eps(
-    u: np.ndarray, sigma: np.ndarray, n_half: float, cap: float, second: bool
-) -> Tuple[float, float]:
-    """Pick the band width eps and the quarter-band floor delta.
-
-    sigma = G - F on the merged support u of the translated pair. With
-    eps strictly inside the endpoint gaps, sigma >= 0 holds on the end
-    bands automatically; delta is its minimum over the inner quarter bands,
-    which is positive there. Shrinks eps (halving) in the degenerate
-    rounding cases where the sampled floor is not positive.
-    """
-    eps = 0.995 * cap
-    for _ in range(60):
-        lo_band = _min_sigma_on(u, sigma, -n_half, -n_half + eps / 2.0)
-        if second:
-            delta = _min_sigma_on(u, sigma, -n_half + eps / 4.0, -n_half + eps / 2.0)
-        else:
-            delta = min(
-                _min_sigma_on(u, sigma, -n_half + eps / 4.0, -n_half + eps / 2.0),
-                _min_sigma_on(u, sigma, n_half - eps / 2.0, n_half - eps / 4.0),
-            )
-        if delta > 0 and lo_band >= 0:
-            return eps, delta
-        eps /= 2.0
-    raise DegenerateGap("could not find a band with positive cdf gap")
-
-
-def _min_sigma_on(u: np.ndarray, sigma: np.ndarray, lo: float, hi: float) -> float:
-    """Minimum over [lo, hi] of the step function that is sigma[i] on
-    [u_i, u_(i+1)) and 0 before u_0."""
-    i, j = np.searchsorted(u, (lo, hi), side="right")
-    vals = sigma[i - 1 : j] if i else np.append(sigma[:j], 0.0)
-    return float(vals.min())
-
-
 def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> CatalystCertificate:
     """Shared first/second order construction, following the proof recipe.
 
     Check strict CGF dominance at margin (on [-inf, 0] at order 2), and
-    return Z = point mass at 0 if X already dominates Y. Otherwise
-    translate, pick (eps, delta) from the end bands, set the exponent cut
-    A by exp(eps*A/4) >= 8N/(eps*delta), then escalate the variance V
-    (doubling, verification-driven) with truncation T = A*V + N, refining
-    the catalyst grid up to 2**14 atoms at each V.
+    return Z = point mass at 0 if X already dominates Y. Otherwise take
+    eps = 0.995 * cap inside the endpoint gaps, read the quarter-band floor
+    delta, set the exponent cut A by exp(eps*A/4) >= 8N/(eps*delta), then
+    escalate the variance V (doubling, verification-driven) with
+    truncation T = A*V + N, refining the catalyst grid up to 2**14 atoms
+    at each V.
+
+    delta needs no search. As eps < cap, only Y has atoms in [min Y,
+    min Y + eps/2], and (order 1) only X in [max X - eps/2, max X], so
+    G - F is nondecreasing on the lower band and nonincreasing on the
+    upper one, in floating point too: each step of a running sum adds a
+    term of one sign. Its minimum on [min Y + eps/4, min Y + eps/2] is Y's
+    mass up to min Y + eps/4, a left sum; on [max X - eps/2, max X - eps/4]
+    it is X's mass beyond max X - eps/4, a right sum, exact in that tail
+    as fosd's survival gap is. Both are positive; a smaller eps only
+    lowers them.
     """
     kres = _k_dominates_on(dx, dy, margin, nonpositive=order == 2)
     if kres.order is not KOrder.STRICT:
@@ -519,25 +497,28 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
         params = CatalystParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         return CatalystCertificate(_POINT_ZERO, name, params, True, worst)
     mx, my = dx.support, dy.support
-    # normalize min[Y'] = -N and max[X'] = N (order 1) or everything
-    # inside [-N, N] (order 2)
+    # N is half the span from min Y to max X, or to both laws' top at order 2
     top = mx[-1] if order == 1 else max(mx[-1], my[-1])
     n_half = (top - my[0]) / 2.0
-    b = -(top + my[0]) / 2.0
     cap = mx[0] - my[0]
     if order == 1:
         cap = min(cap, mx[-1] - my[-1])
     if cap <= 0 or n_half <= 0:
-        raise DegenerateGap(
-            "endpoint gaps are not positive; the translation normalization "
-            "cannot produce a positive cdf gap at both ends"
-        )
-    dxt = shift(dx, b)
-    dyt = shift(dy, b)
-    u, s = _signed_masses(dxt, dyt)
-    sigma = np.cumsum(s)  # G - F on the merged support
-    eps, delta = _band_positive_eps(u, sigma, n_half, cap, second=(order == 2))
-    a_cut = max(1.0, (4.0 / eps) * np.log(8.0 * n_half / (eps * delta)))
+        raise DegenerateGap("endpoint gaps are not positive: no end band has a cdf gap")
+    u, s = _signed_masses(dx, dy)
+    eps = 0.995 * cap
+    # the quarter-band floor: Y's mass up to min Y + eps/4, summed from the
+    # left, and at order 1 X's mass beyond max X - eps/4, summed from the right
+    lo_band = np.searchsorted(u, my[0] + eps / 4.0, side="right")
+    delta = float(np.cumsum(s[:lo_band])[-1])
+    if order == 1:
+        hi_band = np.searchsorted(u, mx[-1] - eps / 4.0, side="right")
+        delta = min(delta, float(-s[hi_band:].sum()))
+    with np.errstate(over="ignore", divide="ignore"):
+        log_ratio = np.log(8.0 * n_half / (eps * delta))
+    if not np.isfinite(log_ratio):  # 8N/(eps*delta) overflows for a tiny delta
+        log_ratio = np.log(8.0 * n_half / eps) - np.log(delta)
+    a_cut = max(1.0, (4.0 / eps) * log_ratio)
 
     variance = max(n_half * n_half, 1e-8)
     best_gap = -np.inf

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mastat import dist, mas
+from mastat import cgf, dist, mas
 from mastat.errors import MassNotOne
 
 
@@ -28,6 +28,28 @@ def random_measure(rng, n_min=1, n_max=4, lo=-3.0, hi=3.0, allow_inf=False):
         locs[0] = -np.inf if rng.random() < 0.5 else np.inf
     wts = rng.dirichlet(np.ones(n))
     return mas.make_measure(locs, wts)
+
+
+def strict_pair_stream(rng):
+    """Seeded pairs with strictly dominating CGF profiles at margin 1e-3."""
+    style = 0
+    while True:
+        style += 1
+        if style % 2:
+            p = float(rng.uniform(0.25, 0.45))
+            x = dist.make([0.0, 1.0], [1.0 - p, p])
+            lo = -float(rng.uniform(0.4, 0.7))
+            hi = float(rng.uniform(0.2, 0.4))
+            cells = int(rng.integers(12, 40))
+            y = dist.discretize_uniform(lo, hi, (hi - lo) / cells)
+        else:
+            x = random_dist(rng, 2, 5, lo=0.0, hi=1.0)
+            delta = float(rng.uniform(0.05, 0.25))
+            eps = delta * float(rng.uniform(0.2, 0.8))
+            noise = dist.make([-eps, eps], [0.5, 0.5])
+            y = dist.convolve(dist.shift(x, -delta), noise)
+        if cgf.k_dominates(x, y, margin=1e-3).order is cgf.KOrder.STRICT:
+            yield x, y
 
 
 def grid_miss_pair():
@@ -71,17 +93,17 @@ def convolve_d1_major(d1, d2):
     return dist._canonical(vals, wts)
 
 
-def iid_power_full_square(d, n, cap=dist.SUPPORT_CAP):
+def iid_power_full_square(d, n):
     """iid_power whose every squaring is convolve(base, base), all m * m
-    pairs laid out."""
+    pairs laid out, under the current dist.SUPPORT_CAP."""
     acc, base = None, d
     while True:
         if n & 1:
-            acc = base if acc is None else dist.convolve(acc, base, cap=cap)
+            acc = base if acc is None else dist.convolve(acc, base)
         n >>= 1
         if n == 0:
             return acc
-        base = dist.convolve(base, base, cap=cap)
+        base = dist.convolve(base, base)
 
 
 def sort_merge_log_space(support, log_probs):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mastat import cgf, dist, dominance, mas, pref
-from conftest import random_dist, random_measure
+from conftest import random_dist, random_measure, strict_pair_stream
 
 
 def _report(num, label, ok, elapsed=None, detail=""):
@@ -42,32 +42,10 @@ def test_criterion_01_figure_reproduction():
     )
 
 
-def _strict_pair_stream(rng):
-    """Seeded pairs with strictly dominating CGF profiles at margin 1e-3."""
-    style = 0
-    while True:
-        style += 1
-        if style % 2:
-            p = float(rng.uniform(0.25, 0.45))
-            x = dist.make([0.0, 1.0], [1.0 - p, p])
-            lo = -float(rng.uniform(0.4, 0.7))
-            hi = float(rng.uniform(0.2, 0.4))
-            cells = int(rng.integers(12, 40))
-            y = dist.discretize_uniform(lo, hi, (hi - lo) / cells)
-        else:
-            x = random_dist(rng, 2, 5, lo=0.0, hi=1.0)
-            delta = float(rng.uniform(0.05, 0.25))
-            eps = delta * float(rng.uniform(0.2, 0.8))
-            noise = dist.make([-eps, eps], [0.5, 0.5])
-            y = dist.convolve(dist.shift(x, -delta), noise)
-        if cgf.k_dominates(x, y, margin=1e-3).order is cgf.KOrder.STRICT:
-            yield x, y
-
-
 def test_criterion_02_catalyst_constructor_batch():
     start = time.monotonic()
     rng = np.random.default_rng(2024)
-    stream = _strict_pair_stream(rng)
+    stream = strict_pair_stream(rng)
     verified = 0
     constructed = 0
     exhausted = 0

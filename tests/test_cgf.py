@@ -206,6 +206,15 @@ class TestKDominates:
         assert cgf.k_a(x, res.witness) < cgf.k_a(y, res.witness) - 1e-12
         assert res.min_gap < -1e-12
 
+    def test_nan_margin_rejected(self):
+        # every `<= margin` test is false for a NaN margin, which used to
+        # read STRICT (min gap 0) for X against itself
+        x = dist.make([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(BadParams, match="margin must not be NaN"):
+            cgf.k_dominates(x, x, margin=math.nan)
+        # a negative margin stays legal
+        assert cgf.k_dominates(x, x, margin=-1e-3).order is cgf.KOrder.STRICT
+
     def test_rounding_at_large_scale_is_not_failure(self):
         # the middle atom split by +-2e-9 moves the exact gap by less than
         # 7e-19, but one ulp of K near 1e4 is 1.8e-12 and the computed gap
@@ -461,23 +470,24 @@ def _k_exact(d, a):
 
 
 def _k_bound(d, a):
-    """The rounding bound that the cgf module doc states for K_a(d)."""
+    """The rounding bound that the cgf module doc states for K_a(d), in
+    decimal arithmetic: w^3 overflows a double past a scale of about 1e102."""
     n, m = d.n_atoms, d.moments
     scale = max(1.0, abs(m.lo), abs(m.hi))
-    eps = np.finfo(np.float64).eps
-    if abs(a) * scale >= cgf._SMALL_A:
-        return eps * (4.0 * scale + (n + 2.0 * math.log(n)) / abs(a))
-    return eps * (n + 1) * scale + a * a * (m.hi - m.lo) ** 3 / 60.0
+    eps, da = Decimal(float(np.finfo(np.float64).eps)), abs(Decimal(float(a)))
+    if abs(a) * scale >= cgf._SMALL_A:  # the product k_a_many branches on
+        return eps * (4 * Decimal(scale) + (n + 2 * Decimal(math.log(n))) / da)
+    return eps * (n + 1) * Decimal(scale) + da * da * (Decimal(m.hi) - Decimal(m.lo)) ** 3 / 60
 
 
 def test_k_rounding_within_the_stated_bound():
-    # at |a| * scale from 1e-300 to 1e300, both signs and a = 0, densely
-    # where the near-zero error bands are, on laws at scales 1e-3 to 1e3:
-    # 2-11 atoms; a narrow off-centre support; masses down to 1e-250; and
-    # 12-39 atoms, which are evaluated index-major
+    # at |a| * scale from 1e-300 (or the smallest positive a) to 1e300, both
+    # signs and a = 0, densely where the near-zero error bands are, on laws
+    # at scales 1e-3 to 1e300: 2-11 atoms; a narrow off-centre support;
+    # masses down to 1e-250; and 12-39 atoms, which are evaluated index-major
     rng = np.random.default_rng(12)
     mags = np.concatenate((10.0 ** np.arange(-300, 301, 20), 10.0 ** np.arange(-8, 2.01, 0.25)))
-    for s in (1e-3, 1.0, 1e3):
+    for s in (1e-3, 1.0, 1e3, 1e10, 1e100, 1e200, 1e300):
         for kind in range(16):
             n = int(rng.integers(2, 12) if kind % 4 != 3 else rng.integers(12, 40))
             support = rng.uniform(-s, s, n)
@@ -489,7 +499,9 @@ def test_k_rounding_within_the_stated_bound():
                 probs /= probs.sum()
             d = dist.make(support, probs)
             scale = max(1.0, abs(d.moments.lo), abs(d.moments.hi))
-            avec = np.concatenate((-mags, [0.0], mags)) / scale
+            pos = np.append(mags / scale, np.nextafter(0.0, 1.0))
+            pos = np.unique(pos[pos > 0.0])
+            avec = np.concatenate((-pos, [0.0], pos))
             for a, got in zip(avec, cgf.k_a_many(d, avec)):
                 err = abs(Decimal(float(got)) - _k_exact(d, a))
                 assert err <= _k_bound(d, a), (s, kind, a)

@@ -59,6 +59,16 @@ class TestVerdictsAndCodes:
         z = dist.make(obj["catalyst"]["support"], obj["catalyst"]["probs"])
         assert z.n_atoms == len(obj["catalyst"]["support"])
 
+    def test_catalyst_tiny_top_mass(self, capsys, files):
+        # used to exit 1: "could not find a band with positive cdf gap"
+        path = {}
+        for name, obj in (("x", {"support": [0, 1], "probs": [1 - 1e-18, 1e-18]}),
+                          ("y", {"support": [-0.5, 0.05], "probs": [0.99, 0.01]})):
+            path[name] = files["tmp"] / f"tiny-top-{name}.json"
+            path[name].write_text(json.dumps(obj))
+        code, obj = run_json(capsys, ["catalyst", str(path["x"]), str(path["y"])])
+        assert code == 0 and obj["verified"] and obj["params"]["delta"] == 1e-18
+
     def test_catalyst_no_hypothesis(self, capsys, files):
         code = cli.run(["catalyst", files["X"], files["X"]])
         assert code == 1
@@ -296,6 +306,20 @@ class TestVerdictsAndCodes:
     def test_power_utility_not_a_number_is_input_error(self, capsys, files):
         assert self._time_value(files, "power:abc") == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["time-value", "--utility", "power:1,2"], 2, "error: power exponent must be a number"),
+        (["time-value", "--utility", "log"], 0, ""),
+        (["time-value", "--utility", "cubic"], 2, "error: unknown utility spec 'cubic'"),
+        (["violation-search", "--pref1", "foo", "--pref2", "median"], 2,
+         "error: unknown preference spec 'foo'"),
+    ], ids=["power-list", "log", "cubic", "pref-foo"])
+    def test_spec_names(self, capsys, files, argv, code, err):
+        if argv[0] == "time-value":
+            argv += ["--x", "2.0", "--dist", files["X"], "--rate", "1.0", "--measure", files["m0"]]
+        assert cli.run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(err) and (captured.out == "") == (code == 2)
 
     def test_mean_variance_not_a_number_is_input_error(self, capsys):
         argv = ["violation-search", "--pref1", "mean-variance:abc", "--pref2", "median"]

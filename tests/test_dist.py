@@ -11,6 +11,7 @@ from mastat.errors import (
     BadInterval,
     BadParams,
     BadSupport,
+    EmptyFamily,
     InputError,
     LambdaOutOfRange,
     LengthMismatch,
@@ -67,6 +68,11 @@ class TestMake:
     def test_zero_atoms_dropped(self):
         d = dist.make([0.0, 1.0, 2.0], [0.5, 0.0, 0.5])
         assert d.n_atoms == 2 and 1.0 not in d.support
+
+    def test_repr_abbreviates_past_six_atoms(self):
+        assert repr(dist.discretize_uniform(0.0, 1.0, 0.1)) == (
+            "FiniteDist(0.05:0.1, 0.15:0.1, 0.25:0.1, 0.35:0.1, 0.45:0.1, 0.55:0.1, ...)"
+        )
 
     def test_errors(self):
         with pytest.raises(LengthMismatch):
@@ -133,10 +139,11 @@ class TestConvolve:
         right = dist.convolve(a, dist.convolve(b, c))
         assert total_variation(left, right) <= 1e-12
 
-    def test_blowup_guard(self):
+    def test_blowup_guard(self, monkeypatch):
         d = dist.discretize_uniform(0.0, 1.0, 1e-3)
-        with pytest.raises(SupportBlowup):
-            dist.convolve(d, d, cap=10_000)
+        monkeypatch.setattr(dist, "SUPPORT_CAP", 10_000)
+        with pytest.raises(SupportBlowup, match=r"\(cap 10000\)"):
+            dist.convolve(d, d)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -190,17 +197,18 @@ class TestIidPower:
             dist.iid_power(dist.make([0], [1.0]), 0)
 
 
-def _assert_power_contract(d, n, cap=dist.SUPPORT_CAP):
-    """iid_power(d, n) against the full squaring: the same atom count,
-    supports within 2e-15 * n * max(1, |x|) over d's support, masses
-    within 1e-14 relative. Returns False where both raise SupportBlowup."""
+def _assert_power_contract(d, n):
+    """iid_power(d, n) against the full squaring, both under the current
+    dist.SUPPORT_CAP: the same atom count, supports within
+    2e-15 * n * max(1, |x|) over d's support, masses within 1e-14
+    relative. Returns False where both raise SupportBlowup."""
     try:
-        want = iid_power_full_square(d, n, cap)
+        want = iid_power_full_square(d, n)
     except SupportBlowup:
         with pytest.raises(SupportBlowup):
-            dist.iid_power(d, n, cap=cap)
+            dist.iid_power(d, n)
         return False
-    got = dist.iid_power(d, n, cap=cap)
+    got = dist.iid_power(d, n)
     scale = n * max(1.0, -d.support[0], d.support[-1])
     assert got.n_atoms == want.n_atoms
     assert np.abs(got.support - want.support).max() <= 2e-15 * scale
@@ -212,7 +220,7 @@ class TestIidPowerTriangle:
     """iid_power squares over the pairs i <= j only; the full squaring of
     tests/conftest.py is the oracle."""
 
-    def test_contract_on_seeded_laws(self):
+    def test_contract_on_seeded_laws(self, monkeypatch):
         # 20,000 laws of 1-12 atoms, n from 2 to 64: random supports at
         # scales 1e-3..1e3, and 0.1- and 1-lattices over [-2, 2] and
         # [-20, 20]. The cap keeps each power cheap; the laws that cross
@@ -227,10 +235,11 @@ class TestIidPowerTriangle:
         lattice *= np.where(kinds == 1, 0.1, 1.0)[:, None]
         supports = np.where((kinds == 0)[:, None], random, lattice)
         masses = rng.exponential(1.0, (count, 12))
+        monkeypatch.setattr(dist, "SUPPORT_CAP", 1 << 10)
         compared = 0
         for m, n, x, w in zip(atoms.tolist(), powers.tolist(), supports, masses):
             d = dist.make(np.sort(x[:m]), w[:m] / w[:m].sum())
-            compared += _assert_power_contract(d, n, cap=1 << 10)
+            compared += _assert_power_contract(d, n)
         assert compared > 4_000
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 3, 5, 7, 9, 31, 33, 63])
@@ -244,7 +253,7 @@ class TestIidPowerTriangle:
         for n in range(1, 65):
             assert same_bytes(dist.iid_power(point, n), iid_power_full_square(point, n))
 
-    def test_blowup_at_the_oracles_n(self):
+    def test_blowup_at_the_oracles_n(self, monkeypatch):
         """Caps at m * m and m * m - 1 for the atom count m of a base that
         is squared: the first n that raises is the oracle's."""
         rng = np.random.default_rng(7)
@@ -255,12 +264,14 @@ class TestIidPowerTriangle:
                 for _ in range(3):
                     base = dist.convolve(base, base)
                 m = base.n_atoms
-                for cap in (m * m, m * m - 1):
-                    for n in range(1, 25):
-                        _assert_power_contract(d, n, cap)
-                # the squaring of the 8-fold base is the first step past m * m - 1
-                with pytest.raises(SupportBlowup, match=f"enumerate {m * m} atom pairs"):
-                    dist.iid_power(d, 16, cap=m * m - 1)
+                with monkeypatch.context() as patch:
+                    for cap in (m * m, m * m - 1):
+                        patch.setattr(dist, "SUPPORT_CAP", cap)
+                        for n in range(1, 25):
+                            _assert_power_contract(d, n)
+                    # the squaring of the 8-fold base is the first step past m * m - 1
+                    with pytest.raises(SupportBlowup, match=f"enumerate {m * m} atom pairs"):
+                        dist.iid_power(d, 16)
 
 
 class TestMixture:
@@ -415,11 +426,23 @@ def _trunc_gaussian_halves(v, t, step):
         (lambda: mas.extend_integer_approx(mas.statistic_mean, dist.make([0.5], [1.0]), 2.5),
          BadParams),
         (lambda: dist.iid_power(dist.make([0.5], [1.0]), math.nan), BadParams),
+        (lambda: dist.FiniteDist(np.zeros(2), np.ones(1), np.zeros(1)), LengthMismatch),
+        (lambda: dist.FiniteDist(np.array([1.0, 0.0]), np.full(2, 0.5), np.log(np.full(2, 0.5))),
+         BadParams),
+        # every cell weight underflows
+        (lambda: dist.discretize_trunc_gaussian(1e-10, 1.0, 0.25), BadParams),
+        (lambda: mas.make_measure([], []), EmptyFamily),
+        (lambda: mas.extend_integer_approx(mas.statistic_mean, dist.make([-1.0, 1.0], [0.5, 0.5]), 4),
+         BadSupport),
+        (lambda: pref.UtilitySpec.table([(1.0, -1.0), (2.0, 1.0)]), BadParams),
+        (lambda: pref.betweenness_form(1.5, 1.0), BadParams),
+        (lambda: pref.utility_value(pref.UtilitySpec("cubic"), 1.0), BadParams),
     ],
 )
 def test_bad_library_input_raises_a_mas_error(call, error):
     """Each of these escaped MasError (ZeroDivisionError, ValueError,
-    OverflowError), came back as NaN, or used a truncated n."""
+    OverflowError), came back as NaN, or used a truncated n; the inputs
+    after the iid_power one reach input checks that no other test does."""
     with pytest.raises(error):
         call()
 

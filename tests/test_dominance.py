@@ -1,9 +1,19 @@
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from mastat import cgf, dist, dominance, mas
 import mastat.dominance as dominance_mod
-from mastat.errors import BadParams, BudgetExhausted, NoKDominance, NoKDominanceOnNegatives
+from mastat.errors import (
+    BadParams,
+    BudgetExhausted,
+    DegenerateGap,
+    NoKDominance,
+    NoKDominanceOnNegatives,
+)
 from conftest import (
     convolve_d1_major,
     fosd_four_searches,
@@ -11,6 +21,7 @@ from conftest import (
     random_dist,
     random_measure,
     seeded_law,
+    strict_pair_stream,
 )
 
 
@@ -198,6 +209,70 @@ class TestCatalystSecond:
         w = info.value.witness
         assert w < 0 and cgf.k_a(neg_y, w) < cgf.k_a(neg_x, w) - 1e-12
         assert "min gap -0.00143" in str(info.value)
+
+
+class TestBandFloor:
+    """The quarter-band floor delta is read off the signed masses, and the
+    construction sweeps what verify_certificate sweeps."""
+
+    def test_tiny_top_mass_constructs(self):
+        # the upper band's gap is X's mass at 1, 1e-18; summed from the left
+        # it read -8.67e-18, and halving eps 60 times raised DegenerateGap
+        x = dist.make([0.0, 1.0], [1.0 - 1e-18, 1e-18])
+        y = dist.make([-0.5, 0.05], [0.99, 0.01])
+        assert cgf.k_dominates(x, y, 1e-6).order is cgf.KOrder.STRICT
+        assert not dominance.fosd(x, y).dominates
+        cert = dominance.find_catalyst_first(x, y)
+        assert cert.verified and cert.catalyst.n_atoms > 1
+        assert cert.params.delta == 1e-18
+        assert cert.worst_gap == dominance.verify_certificate(cert, x, y)
+
+    def test_subnormal_top_mass_keeps_a_and_t_finite(self):
+        # 8N/(eps delta) overflows for delta = 1e-320
+        x = dist.make([0.0, 1.0], [1.0 - 1e-320, 1e-320])
+        y = dist.make([-0.5, 0.006], [0.99, 0.01])
+        assert cgf.k_dominates(x, y, 1e-6).order is cgf.KOrder.STRICT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = dominance.find_catalyst_first(x, y)
+        p = cert.params
+        assert cert.verified and p.delta == 1e-320
+        assert math.isfinite(p.a_cut) and math.isfinite(p.truncation)
+        want = 4.0 / p.epsilon * (math.log(8.0 * p.n_half_range / p.epsilon) - math.log(1e-320))
+        assert p.a_cut == pytest.approx(want, rel=1e-12)
+
+    def test_worst_gap_is_the_reverification(self):
+        x, y0 = figure_pair()
+        cases = [(order, x, dist.shift(y0, shift), 1e-6)
+                 for order, shift in (("first", 0.0), ("first", 0.2), ("first", 0.31),
+                                      ("first", 0.33), ("second", 0.31), ("second", 0.33))]
+        pairs = itertools.islice(strict_pair_stream(np.random.default_rng(14)), 80)
+        cases += [(order, x, y, 1e-3) for x, y in pairs for order in ("first", "second")]
+        constructed = 0
+        for order, x, y, margin in cases:
+            cert = getattr(dominance, f"find_catalyst_{order}")(x, y, margin=margin)
+            assert cert.verified
+            if cert.catalyst.n_atoms > 1:  # else the worst gap is fosd's or sosd's
+                constructed += 1
+                assert cert.worst_gap == dominance.verify_certificate(cert, x, y)
+        assert constructed >= 30
+
+    def test_endpoint_gap_is_the_one_degenerate_case(self):
+        # strict CGF dominance at a margin >= 0 implies both endpoint gaps;
+        # at a negative margin equal tops (a gap of 0 at +inf) reach the check
+        x = dist.make([0.0, 1.0], [0.5, 0.5])
+        y = dist.make([-0.5, 0.3, 1.0], [0.3, 0.3, 0.4])
+        assert cgf.k_dominates(x, y, margin=-1.0).order is cgf.KOrder.STRICT
+        assert not dominance.fosd(x, y).dominates
+        with pytest.raises(DegenerateGap, match="endpoint gaps are not positive"):
+            dominance.find_catalyst_first(x, y, margin=-1.0)
+
+    @pytest.mark.parametrize("find", [dominance.find_catalyst_first, dominance.find_catalyst_second])
+    def test_nan_margin_rejected(self, find):
+        # a NaN margin used to certify X against itself
+        x = dist.make([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(BadParams, match="margin must not be NaN"):
+            find(x, x, margin=math.nan)
 
 
 class TestLargeNumbers:

@@ -44,6 +44,7 @@ class TestMeasure:
     def test_infinite_atoms_ordered(self):
         mu = mas.make_measure([np.inf, 0.0, -np.inf], [0.2, 0.5, 0.3])
         assert mu.locations.tolist() == [-np.inf, 0.0, np.inf]
+        assert repr(mu) == "MixingMeasure(-inf:0.3, 0:0.5, inf:0.2)"
 
 
 class TestEvaluate:
@@ -334,8 +335,9 @@ class TestIntegerApproxPowers:
 
         def power_of(d, n):
             calls.append(n)
-            return dist.iid_power(d, n, cap=cap)
+            return dist.iid_power(d, n)
 
+        monkeypatch.setattr(dist, "SUPPORT_CAP", cap)
         monkeypatch.setattr(mas, "iid_power", power_of)
         return calls, power_of
 
