@@ -16,6 +16,7 @@ runs take --seed (default 0); fixed seed means byte-identical output.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -418,6 +419,7 @@ _COMMANDS = {
 _PATHS = {"--measure", "--dist", "measure1", "measure2", "dist1", "dist2", "profile", "--add"}
 
 
+@functools.cache  # built once per process; every run reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mastat",

@@ -1,7 +1,7 @@
 """Stochastic dominance tests and constructive catalytic certificates.
 
-fosd / sosd decide first and second order dominance exactly on merged
-supports. find_catalyst_first / find_catalyst_second construct an
+fosd / sosd decide first and second order dominance exactly at every
+support point. find_catalyst_first / find_catalyst_second construct an
 independent truncated-Gaussian Z such that X + Z dominates Y + Z, under
 the hypothesis that the CGF profile of X strictly dominates that of Y
 (everywhere, or on the nonpositive indices for the second order). Both
@@ -15,13 +15,13 @@ proportion to the supports' scale; near a = 0 that rounding can be larger
 than the threshold, and the STRICT bracket does not allow for it (see the
 cgf module doc). If X already dominates Y, the catalyst is the point mass
 at 0, one FiniteDist (frozen, arrays read-only) that all such certificates
-share, and the worst gap is fosd's or sosd's. Otherwise the paper's band
-floor delta is read off the signed masses, not searched for (the proof is
-in _construct). The returned certificate is machine-checked: the dominance
-sweep over every breakpoint of the convolved cdfs is part of construction,
-not a test-only step, on the same signed masses that verify_certificate
-sweeps, so worst_gap equals the re-verification exactly; `verified` is set
-only when the worst gap clears -1e-12.
+share, and the worst gap is fosd's or sosd's, which verify_certificate
+re-runs for it. Otherwise the paper's band floor delta is read off the
+signed masses, not searched for (the proof is in _construct). The
+certificate is machine-checked: the dominance sweep over every breakpoint
+of the convolved cdfs is part of construction, on the same signed masses
+that verify_certificate sweeps. So worst_gap equals the re-verification
+exactly for every certificate; `verified` is set only when it clears -1e-12.
 
 The sweep does not sort every breakpoint once there are more than
 _ONE_ROW_MAX of them. It bins the merged support and the catalyst onto
@@ -112,23 +112,24 @@ class SosdResult:
 
 def fosd(d1: FiniteDist, d2: FiniteDist, tol: float = 0.0) -> FosdResult:
     """Does d1 first-order dominate d2? Checks F1 <= F2 + tol at every
-    merged-support point; strict needs a gap beyond tol somewhere.
+    point of either support; strict needs a gap beyond tol somewhere.
 
     The gap is evaluated both as F2 - F1 (exact in the lower tail) and as
-    S1 - S2 of the survival functions (exact in the upper tail), which are
-    equal in exact arithmetic. Each law's support is searched once: the
-    cdf and survival step tables share their index (see cdf_steps).
+    S1 - S2 of the survival functions (exact in the upper tail), equal in
+    exact arithmetic, at d1's points (searching d2) and at d2's (searching
+    d1); the step tables share their index (see cdf_steps). No merged
+    support is sorted, and the witness is the least failing point.
     """
-    pts = merged_support(d1, d2)
-    k1 = np.searchsorted(d1.support, pts, side="right")
-    k2 = np.searchsorted(d2.support, pts, side="right")
-    gap_f = d2.cdf_steps[k2] - d1.cdf_steps[k1]  # >= -tol required everywhere
-    gap_s = d1.survival_steps[k1] - d2.survival_steps[k2]
+    c1, s1, c2, s2 = d1.cdf_steps, d1.survival_steps, d2.cdf_steps, d2.survival_steps
+    k2 = np.searchsorted(d2.support, d1.support, side="right")
+    k1 = np.searchsorted(d1.support, d2.support, side="right")
+    gap_f = np.concatenate((c2[k2] - c1[1:], c2[1:] - c1[k1]))  # >= -tol required
+    gap_s = np.concatenate((s1[1:] - s2[k2], s1[k1] - s2[1:]))
     gap = np.minimum(gap_f, gap_s)
-    bad = np.flatnonzero(gap < -tol)
-    if bad.size:
-        i = int(bad[0])
-        return FosdResult(False, False, float(pts[i]), float(gap.min()))
+    bad = gap < -tol
+    if bad.any():
+        pts = np.concatenate((d1.support, d2.support))[bad]
+        return FosdResult(False, False, float(pts[np.argmin(pts)]), float(gap.min()))
     strict = bool(np.any(np.maximum(gap_f, gap_s) > tol))
     return FosdResult(True, strict, None, float(gap.min()))
 
@@ -455,9 +456,12 @@ def sosd_with_catalyst(
 def verify_certificate(
     cert: CatalystCertificate, dx: FiniteDist, dy: FiniteDist
 ) -> float:
-    """Re-run the dominance sweep for a certificate; returns the worst gap."""
+    """Re-run the check behind a certificate; returns the worst gap."""
+    order = 1 if cert.order == "first" else 2
+    if cert.catalyst is _POINT_ZERO:  # X dominates Y: fosd's or sosd's worst gap
+        return fosd(dx, dy).min_gap if order == 1 else sosd(dx, dy).min_integral
     u, s = _signed_masses(dx, dy)
-    return _conv_gap_sweep(u, s, cert.catalyst, 1 if cert.order == "first" else 2)[0]
+    return _conv_gap_sweep(u, s, cert.catalyst, order)[0]
 
 
 def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> CatalystCertificate:
@@ -574,13 +578,17 @@ def large_numbers_n(dx: FiniteDist, dy: FiniteDist, n_max: int) -> Optional[int]
     """Smallest n <= n_max with X^{*n} >=_1 Y^{*n}, else None.
 
     Checks every n (no monotone restart assumed); running convolution
-    powers are kept incrementally.
+    powers are kept incrementally. fosd runs only where X^{*n}'s ends are
+    at or above Y^{*n}'s, as else it fails at tol 0 on these same laws (at
+    a lower minimum F_X jumps first, past a lower maximum Y keeps mass).
+    No CGF shortcut: criterion 03 tests the obstruction against this search.
     """
     px, py = dx, dy
     for n in range(1, _positive_int(n_max, "n_max") + 1):
         if n > 1:
             px = convolve(px, dx)
             py = convolve(py, dy)
-        if fosd(px, py).dominates:
+        ends = px.support[0] >= py.support[0] and px.support[-1] >= py.support[-1]
+        if ends and fosd(px, py).dominates:
             return n
     return None

@@ -62,9 +62,25 @@ class TestFosdSingleSearch:
 
     @pytest.mark.parametrize("kind, scale", [
         ("random", 1.0), ("lattice", 0.1), ("lattice", 0.25), ("random", 1e5), ("random", 1e8),
+        ("figure", 1e-3),
     ])
     def test_small_laws_match_oracle(self, kind, scale):
         rng = np.random.default_rng(66)
+        if kind == "figure":
+            # the 2 x 1,000-atom pair, identical laws, and laws that share
+            # some support points (Y's lattice, X's atoms at 0 and 1)
+            x, y = figure_pair(scale)
+            pts = np.append(y.support[::7], 1.0)
+            part = dist.make(pts, rng.dirichlet(np.ones(pts.size)))
+            ends = dist.make([0.0, 0.5, 1.0], [0.6, 0.1, 0.3])
+            for d1, d2 in ((x, y), (x, x), (y, y), (part, y), (part, x), (ends, x)):
+                self._assert_oracle(d1, d2)
+                self._assert_oracle(d1, dist.make(d1.support, d1.probs[::-1]))
+            # below a negative tol, d2's least atom fails before d1's
+            d1, d2 = dist.make([0.0], [1.0]), dist.make([-1.0, 5.0], [0.1, 0.9])
+            assert repr(dominance.fosd(d1, d2, -0.5)) == repr(fosd_four_searches(d1, d2, -0.5))
+            assert dominance.fosd(d1, d2, -0.5).witness == -1.0
+            return
         for _ in range(300):
             d1 = seeded_law(rng, int(rng.integers(1, 13)), kind, scale)
             d2 = seeded_law(rng, int(rng.integers(1, 5)), kind, scale)
@@ -257,6 +273,19 @@ class TestBandFloor:
                 assert cert.worst_gap == dominance.verify_certificate(cert, x, y)
         assert constructed >= 30
 
+    def test_point_mass_worst_gap_is_the_reverification(self):
+        # X already dominates Y: the worst gap is fosd's or sosd's, and
+        # verify_certificate re-runs that check rather than the sweep
+        found = {"first": 0, "second": 0}
+        for x, y in itertools.islice(strict_pair_stream(np.random.default_rng(15)), 60):
+            for order, direct in (("first", dominance.fosd), ("second", dominance.sosd)):
+                if direct(x, y).dominates:
+                    cert = getattr(dominance, f"find_catalyst_{order}")(x, y, margin=1e-3)
+                    assert cert.catalyst.n_atoms == 1 and cert.verified
+                    assert cert.worst_gap == dominance.verify_certificate(cert, x, y)
+                    found[order] += 1
+        assert min(found.values()) >= 20
+
     def test_endpoint_gap_is_the_one_degenerate_case(self):
         # strict CGF dominance at a margin >= 0 implies both endpoint gaps;
         # at a negative margin equal tops (a gap of 0 at +inf) reach the check
@@ -291,9 +320,13 @@ class TestLargeNumbers:
             dominance.large_numbers_n(dist.shift(d, 0.5), d, n_max)
         assert issubclass(BadParams, ValueError)
 
-    def test_answers_match_oracle(self):
+    def test_answers_match_oracle(self, monkeypatch):
         """The first n with X^{*n} >=_1 Y^{*n}, found with the oracle
-        convolve and fosd, on pairs that rank late, never, or at once."""
+        convolve and fosd at every n, on pairs that rank late, never, or at
+        once: shifted pairs, pairs whose CGF profiles cross (drawn like
+        criterion 03), pairs whose least or greatest atoms tie exactly, and
+        pairs with a 1e-300 end atom in X. fosd is skipped where the ends
+        are out of order, and only there."""
 
         def oracle(dx, dy, n_max):
             px, py = dx, dy
@@ -304,19 +337,65 @@ class TestLargeNumbers:
                     return n
             return None
 
+        calls = []
+        fosd = dominance.fosd
+        monkeypatch.setattr(dominance, "fosd", lambda a, b, tol=0.0: calls.append(1) or fosd(a, b, tol))
+
+        def search(x, y):
+            calls.clear()
+            got = dominance.large_numbers_n(x, y, 32)
+            assert got == oracle(x, y, 32)
+            return got, len(calls)
+
         rng = np.random.default_rng(70)
-        pairs = [figure_pair(step=0.05), figure_pair(step=0.1)]
+        shifted = [figure_pair(step=0.05), figure_pair(step=0.1)]
         for _ in range(24):
             y = dist.make(rng.uniform(-1.0, 1.0, 3), rng.dirichlet(np.ones(3)))
             x = dist.make(y.support + rng.uniform(0.0, 0.2, 3), rng.dirichlet(np.ones(3)))
-            pairs.append((x, y))
+            shifted.append((x, y))
         answers = []
-        for x, y in pairs:
-            got = dominance.large_numbers_n(x, y, 32)
-            assert got == oracle(x, y, 32)
+        for x, y in shifted:  # the ends are in order at every n: fosd decides each
+            got, n_calls = search(x, y)
+            assert n_calls == (got or 32)
             answers.append(got)
         assert answers[0] == 2 and None in answers and 1 in answers
         assert max(a for a in answers if a is not None) >= 3
+
+        crossing = skipped = 0
+        while crossing < 30:
+            x = random_dist(rng, 2, 4, lo=-1.0, hi=1.0)
+            y = random_dist(rng, 2, 4, lo=-1.0, hi=1.0)
+            if cgf.k_dominates(x, y).order is not cgf.KOrder.FAILS:
+                continue
+            crossing += 1
+            got, n_calls = search(x, y)
+            assert got is None
+            if x.support[0] < y.support[0] or x.support[-1] < y.support[-1]:
+                assert n_calls == 0  # out of order at n = 1, so at every n
+                skipped += 1
+        assert skipped >= 20
+
+        ties = []
+        for _ in range(8):
+            y = dist.make(rng.uniform(-1.0, 1.0, 3), rng.dirichlet(np.ones(3)))
+            up = float(rng.uniform(0.0, 0.2))
+            # X's least atom, its greatest, or both are Y's
+            for shift, tied in (([0, 0, up], 0), ([up, 0, 0], -1), ([0, 0, 0], 0)):
+                x = dist.make(y.support + shift, rng.dirichlet(np.ones(3)))
+                assert x.support[tied] == y.support[tied]
+                got, n_calls = search(x, y)
+                assert n_calls == (got or 32)  # a tie is not out of order
+                ties.append(got)
+        assert None in ties and any(ties)
+
+        # the 1e-300 atom alone puts X's least atom below Y's (skipped at
+        # n = 1) or its greatest above (decided by fosd at n = 1); its mass
+        # squared underflows, so from n = 2 on the ends turn
+        y = dist.make([-0.5, 0.0, 0.5], [0.3, 0.4, 0.3])
+        low = dist.make([-0.6, 0.1, 0.6], [1e-300, 0.5, 0.5])
+        high = dist.make([-0.4, 0.2, 0.7], [0.5, 0.5, 1e-300])
+        assert low.probs[0] == high.probs[-1] == 1e-300
+        assert [search(low, y), search(high, y)] == [(2, 1), (None, 1)]
 
     def test_obstruction_blocks_all_n(self):
         rng = np.random.default_rng(56)
