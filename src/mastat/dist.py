@@ -161,9 +161,10 @@ def _merge_sorted(values, weights, tol):
     """Snap-merge a sorted support: returns (representatives, masses).
 
     Consecutive entries whose gap is <= tol form one cluster; masses are
-    summed and the representative is the mass-weighted mean (the exact
-    common value when the cluster is constant, so lattice supports stay
-    exact).
+    summed and the representative is the mass-weighted mean, clamped into
+    the cluster (the exact common value when the cluster is constant, so
+    lattice supports stay exact). Unclamped, the rounded mean can reach the
+    next cluster: 2 ulp away at |v| near 4e6, or with subnormal masses.
     """
     n = values.shape[0]
     brk = np.empty(n, dtype=bool)
@@ -175,11 +176,9 @@ def _merge_sorted(values, weights, tol):
     ends[-1] = n - 1
     w = np.add.reduceat(weights, starts)
     wv = np.add.reduceat(weights * values, starts)
-    first = values[starts]
-    pos = w > 0.0
     # the divisor is never zero, so no floating-point flags to silence
-    rep = np.where(pos & (first != values[ends]), wv / np.where(pos, w, 1.0), first)
-    return rep, w
+    mean = wv / np.where(w > 0.0, w, 1.0)
+    return np.minimum(np.maximum(mean, values[starts]), values[ends]), w
 
 
 def make(support, probs) -> FiniteDist:

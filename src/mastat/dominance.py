@@ -36,7 +36,7 @@ passes it every sorted breakpoint, and _exact_runs passes it the flagged
 runs in the row format (counts, d0, i0, lo) that the two share.
 
 large_numbers_n searches for the first n at which the n-fold i.i.d. sums
-become comparable.
+become comparable, unless the input laws' ends already rule out every n.
 """
 
 import math
@@ -47,6 +47,7 @@ import numpy as np
 
 from .cgf import KOrder, _k_dominates_on
 from .dist import (
+    SNAP_TOL,
     FiniteDist,
     _positive_int,
     cdf,
@@ -577,14 +578,34 @@ def find_catalyst_second(
 def large_numbers_n(dx: FiniteDist, dy: FiniteDist, n_max: int) -> Optional[int]:
     """Smallest n <= n_max with X^{*n} >=_1 Y^{*n}, else None.
 
-    Checks every n (no monotone restart assumed); running convolution
-    powers are kept incrementally. fosd runs only where X^{*n}'s ends are
-    at or above Y^{*n}'s, as else it fails at tol 0 on these same laws (at
-    a lower minimum F_X jumps first, past a lower maximum Y keeps mass).
-    No CGF shortcut: criterion 03 tests the obstruction against this search.
+    Checks every n on running convolution powers. fosd runs only where
+    X^{*n}'s ends are at or above Y^{*n}'s (else it fails at tol 0: at a lower
+    minimum F_X jumps first, past a lower maximum Y keeps mass). No CGF
+    shortcut: criterion 03 tests the obstruction against this search. But
+    first the ends are read: with x_1 < x_2 X's least atoms, y_1 Y's, p_1 =
+    P(X = x_1) and err = n_max * ulp(n_max * max(1, |x_1|, |y_1|)) (n_max
+    roundings), if y_1 - x_1 > 2 err, x_2 - x_1 > SNAP_TOL + 2 err (or X is
+    one atom) and n_max * log p_1 > log 1e-300, X^{*n}'s least atom stays
+    below Y^{*n}'s for n <= n_max, and None is returned; likewise at the top,
+    with Y's greatest atom alone. By induction on n, fl being monotone:
+    X^{*n}'s least pair sum a_n = fl(a_(n-1) + x_1), of mass p_1**n > 0, is a
+    cluster, the next sums staying x_2 - x_1 - 2 err above it; no pair sum of
+    Y is below c_n = fl(c_(n-1) + y_1), representatives stay in their
+    clusters, and zero-mass drops only raise Y's minimum; |a_n - n x_1|,
+    |c_n - n y_1| < err. A certified pair never raises SupportBlowup.
     """
+    n_max = _positive_int(n_max, "n_max")
+    x, y = dx.support, dy.support
+    with np.errstate(over="ignore"):  # a magnitude past the largest double: err = inf
+        for lo, hi, alone, log_mass in (
+            (x[0], y[0], x[1] - x[0] if x.size > 1 else math.inf, dx.log_probs[0]),
+            (x[-1], y[-1], y[-1] - y[-2] if y.size > 1 else math.inf, dy.log_probs[-1]),
+        ):
+            err = n_max * math.ulp(n_max * max(1.0, abs(lo), abs(hi)))
+            if min(hi - lo, alone - SNAP_TOL) > 2 * err and n_max * log_mass > math.log(1e-300):
+                return None
     px, py = dx, dy
-    for n in range(1, _positive_int(n_max, "n_max") + 1):
+    for n in range(1, n_max + 1):
         if n > 1:
             px = convolve(px, dx)
             py = convolve(py, dy)

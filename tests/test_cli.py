@@ -128,6 +128,25 @@ class TestVerdictsAndCodes:
         )
         assert code == 0 and obj["n"] >= 1
 
+    @pytest.mark.parametrize("pair", ["tied ends at 1e6", "certified ends"])
+    def test_large_n_none(self, capsys, tmp_path, pair):
+        # the n-fold loop raised on both: a cluster mean past the next atom
+        # at the 30-fold sum of the first, SupportBlowup at n = 4 of the second
+        if pair == "tied ends at 1e6":
+            support = [-966944.7, 626540.5, 825511.2]
+            laws = [(support, [0.3, 0.2, 0.5]), (support, [0.25, 0.25, 0.5])]
+        else:
+            rng = np.random.default_rng(9)
+            y = dist.make(rng.uniform(-1.0, 1.0, 60), rng.dirichlet(np.ones(60)))
+            x_support = [y.support[0] - 0.5, *y.support[1:]]
+            laws = [(x_support, y.probs), (y.support, y.probs)]
+        paths = []
+        for name, (support, probs) in zip("xy", laws):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"support": list(support), "probs": list(probs)}))
+        code, obj = run_json(capsys, ["large-n", *map(str, paths)])
+        assert code == 1 and obj == {"n": None}
+
     def test_aggregate(self, capsys, files):
         code, obj = run_json(capsys, ["aggregate", files["agents"]])
         assert code == 0 and obj["rate"] == 1.5

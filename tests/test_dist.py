@@ -65,6 +65,12 @@ class TestMake:
         assert top - 1e8 == pytest.approx(1.49e-8, rel=1e-2)
         assert dist.make([1e8, top], [0.5, 0.5]).support.tolist() == [1e8, top]
 
+    def test_snap_merge_mean_stays_in_its_cluster(self):
+        # with subnormal masses the rounded mean of the first two atoms is
+        # 2.0, the third atom, past the cluster's last point
+        d = dist.make([1.5, 1.5 + 5e-10, 2.0], [5e-324, 5e-324, 1.0])
+        assert d.support.tolist() == [1.5 + 5e-10, 2.0]
+
     def test_zero_atoms_dropped(self):
         d = dist.make([0.0, 1.0, 2.0], [0.5, 0.0, 0.5])
         assert d.n_atoms == 2 and 1.0 not in d.support
@@ -144,6 +150,20 @@ class TestConvolve:
         monkeypatch.setattr(dist, "SUPPORT_CAP", 10_000)
         with pytest.raises(SupportBlowup, match=r"\(cap 10000\)"):
             dist.convolve(d, d)
+
+    def test_sums_near_a_million_stay_strictly_increasing(self):
+        """Past |x| of about 4e6 adjacent doubles snap-merge and 2 ulp do
+        not, so the rounded mean of a cluster can reach the next one. The
+        first law failed at its 30-fold sum, the seeded ones earlier."""
+        rng = np.random.default_rng(16)
+        laws = [dist.make([-966944.7, 626540.5, 825511.2], [0.25, 0.25, 0.5])]
+        laws += [dist.make(rng.uniform(-1e6, 1e6, 3), rng.dirichlet(np.ones(3))) for _ in range(6)]
+        for d in laws:
+            power = d
+            for _ in range(31):
+                power = dist.convolve(power, d)
+            scale = 32 * max(abs(d.support[0]), abs(d.support[-1]))
+            assert abs(power.moments.mean - 32 * d.moments.mean) <= 1e-12 * scale
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -13,6 +13,7 @@ from mastat.errors import (
     DegenerateGap,
     NoKDominance,
     NoKDominanceOnNegatives,
+    SupportBlowup,
 )
 from conftest import (
     convolve_d1_major,
@@ -304,7 +305,53 @@ class TestBandFloor:
             find(x, x, margin=math.nan)
 
 
+def _every_n_oracle(dx, dy, n_max):
+    """The first n with X^{*n} >=_1 Y^{*n}: the oracle convolve and fosd at
+    every n, with no end test and no end certificate."""
+    px, py = dx, dy
+    for n in range(1, n_max + 1):
+        if n > 1:
+            px, py = convolve_d1_major(px, dx), convolve_d1_major(py, dy)
+        if fosd_four_searches(px, py).dominates:
+            return n
+    return None
+
+
+def _end_certified(dx, dy, n_max):
+    """The end certificate as the large_numbers_n docstring states it."""
+    x, y = dx.support, dy.support
+
+    def below(lo, hi, alone, log_mass):
+        err = n_max * math.ulp(n_max * max(1.0, abs(lo), abs(hi)))
+        return min(hi - lo, alone - dist.SNAP_TOL) > 2 * err and n_max * log_mass > math.log(1e-300)
+
+    return below(
+        x[0], y[0], x[1] - x[0] if x.size > 1 else math.inf, dx.log_probs[0]
+    ) or below(x[-1], y[-1], y[-1] - y[-2] if y.size > 1 else math.inf, dy.log_probs[-1])
+
+
 class TestLargeNumbers:
+    @pytest.fixture
+    def search(self, monkeypatch):
+        """large_numbers_n(x, y, 32), checked against the every-n oracle;
+        returns the answer and the convolve and fosd calls it made."""
+        calls = {"convolve": 0, "fosd": 0}
+        for name in calls:
+
+            def count(*args, real=getattr(dominance, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(dominance, name, count)
+
+        def run(x, y):
+            calls.update(convolve=0, fosd=0)
+            got = dominance.large_numbers_n(x, y, 32)
+            assert got == _every_n_oracle(x, y, 32)
+            return got, calls["convolve"], calls["fosd"]
+
+        return run
+
     def test_immediate_when_fosd(self):
         d = random_dist(np.random.default_rng(55))
         assert dominance.large_numbers_n(dist.shift(d, 0.5), d, 8) == 1
@@ -320,33 +367,13 @@ class TestLargeNumbers:
             dominance.large_numbers_n(dist.shift(d, 0.5), d, n_max)
         assert issubclass(BadParams, ValueError)
 
-    def test_answers_match_oracle(self, monkeypatch):
+    def test_answers_match_oracle(self, search):
         """The first n with X^{*n} >=_1 Y^{*n}, found with the oracle
         convolve and fosd at every n, on pairs that rank late, never, or at
         once: shifted pairs, pairs whose CGF profiles cross (drawn like
         criterion 03), pairs whose least or greatest atoms tie exactly, and
         pairs with a 1e-300 end atom in X. fosd is skipped where the ends
         are out of order, and only there."""
-
-        def oracle(dx, dy, n_max):
-            px, py = dx, dy
-            for n in range(1, n_max + 1):
-                if n > 1:
-                    px, py = convolve_d1_major(px, dx), convolve_d1_major(py, dy)
-                if fosd_four_searches(px, py).dominates:
-                    return n
-            return None
-
-        calls = []
-        fosd = dominance.fosd
-        monkeypatch.setattr(dominance, "fosd", lambda a, b, tol=0.0: calls.append(1) or fosd(a, b, tol))
-
-        def search(x, y):
-            calls.clear()
-            got = dominance.large_numbers_n(x, y, 32)
-            assert got == oracle(x, y, 32)
-            return got, len(calls)
-
         rng = np.random.default_rng(70)
         shifted = [figure_pair(step=0.05), figure_pair(step=0.1)]
         for _ in range(24):
@@ -355,8 +382,8 @@ class TestLargeNumbers:
             shifted.append((x, y))
         answers = []
         for x, y in shifted:  # the ends are in order at every n: fosd decides each
-            got, n_calls = search(x, y)
-            assert n_calls == (got or 32)
+            got, n_conv, n_fosd = search(x, y)
+            assert n_fosd == (got or 32) and n_conv == 2 * (n_fosd - 1)
             answers.append(got)
         assert answers[0] == 2 and None in answers and 1 in answers
         assert max(a for a in answers if a is not None) >= 3
@@ -368,10 +395,10 @@ class TestLargeNumbers:
             if cgf.k_dominates(x, y).order is not cgf.KOrder.FAILS:
                 continue
             crossing += 1
-            got, n_calls = search(x, y)
+            got, _, n_fosd = search(x, y)
             assert got is None
             if x.support[0] < y.support[0] or x.support[-1] < y.support[-1]:
-                assert n_calls == 0  # out of order at n = 1, so at every n
+                assert n_fosd == 0  # out of order at n = 1, so at every n
                 skipped += 1
         assert skipped >= 20
 
@@ -383,8 +410,8 @@ class TestLargeNumbers:
             for shift, tied in (([0, 0, up], 0), ([up, 0, 0], -1), ([0, 0, 0], 0)):
                 x = dist.make(y.support + shift, rng.dirichlet(np.ones(3)))
                 assert x.support[tied] == y.support[tied]
-                got, n_calls = search(x, y)
-                assert n_calls == (got or 32)  # a tie is not out of order
+                got, _, n_fosd = search(x, y)
+                assert n_fosd == (got or 32)  # a tie is not out of order
                 ties.append(got)
         assert None in ties and any(ties)
 
@@ -395,7 +422,70 @@ class TestLargeNumbers:
         low = dist.make([-0.6, 0.1, 0.6], [1e-300, 0.5, 0.5])
         high = dist.make([-0.4, 0.2, 0.7], [0.5, 0.5, 1e-300])
         assert low.probs[0] == high.probs[-1] == 1e-300
-        assert [search(low, y), search(high, y)] == [(2, 1), (None, 1)]
+        assert [search(low, y)[::2], search(high, y)[::2]] == [(2, 1), (None, 1)]
+
+    def test_end_certificate_matches_the_every_n_loop(self, search):
+        """Where the input laws' ends certify that X^{*n}'s least atom stays
+        below Y^{*n}'s (or its greatest below Y^{*n}'s), None comes with no
+        convolution; elsewhere the loop convolves up to its answer. Each
+        family puts pairs on both sides of one condition of the certificate."""
+        rng = np.random.default_rng(71)
+        fired = {}
+
+        def check(family, x, y):  # x and y as (support, probs)
+            x, y = dist.make(*x), dist.make(*y)
+            got, n_conv, _ = search(x, y)
+            certified = _end_certified(x, y, 32)
+            assert n_conv == (0 if certified else 2 * ((got or 32) - 1))
+            assert got is None or not certified
+            fired.setdefault(family, []).append(certified)
+
+        # criterion 03's obstructed pairs, at scales from 1e-3 to 1e7
+        for k in range(-3, 8):
+            found = 0
+            while found < 3:
+                x = random_dist(rng, 2, 4, lo=-1.0, hi=1.0)
+                y = random_dist(rng, 2, 4, lo=-1.0, hi=1.0)
+                if cgf.k_dominates(x, y).order is cgf.KOrder.FAILS:
+                    found += 1
+                    check("fails", (x.support, x.probs), (y.support, y.probs))
+                    s = 10.0**k
+                    check("scaled", (x.support * s, x.probs), (y.support * s, y.probs))
+        p3 = rng.dirichlet(np.ones(3))
+        # X's least atom, or its greatest, 1e-16 to 1e-7 below Y's, the
+        # other end in order
+        for k in range(7, 17):
+            lo, mid, hi = rng.uniform(-1.0, -0.5), rng.uniform(-0.4, 0.4), rng.uniform(0.5, 1.0)
+            d = 10.0**-k
+            check("ends apart", ([lo - d, mid, hi + 0.1], p3), ([lo, mid, hi], p3[::-1]))
+            check("ends apart", ([lo + 0.1, mid, hi - d], p3), ([lo, mid, hi], p3[::-1]))
+        # X's two least atoms (or Y's two greatest) 2e-9 apart, below Y's
+        # least (above X's greatest) by 0.1, the other end in order, at
+        # scales 1 to 1e4
+        for k in range(5):
+            c = 10.0**k
+            check("bottom 2e-9", ([-c, 2e-9 - c, 0.7], p3), ([0.1 - c, 0.2, 0.6], p3[::-1]))
+            check("top 2e-9", ([-0.5, 0.2, c - 0.1], p3), ([-0.6, c - 2e-9, c], p3[::-1]))
+        # X's least mass (or Y's greatest) 1e-300, or one whose 32nd power
+        # goes subnormal or underflows
+        for k in (5, 9, 10, 15, 20, 30, 300):
+            p = 10.0**-k
+            y = ([-0.5, 0.0, 0.5], [0.3, 0.4, 0.3])
+            check("end mass", ([-0.6, 0.1, 0.6], [p, 0.5, 0.5 - p]), y)
+            check("end mass", ([-0.4, 0.2, 0.4], y[1]), ([-0.5, 0.0, 0.5], [0.3, 0.7 - p, p]))
+        for family, certified in fired.items():
+            assert any(certified) and not all(certified), family
+
+    def test_certified_pair_does_not_blow_up(self):
+        """Y is 60 atoms on [-1, 1] and X is Y with its least atom 0.5 lower.
+        The n-fold loop would raise SupportBlowup at n = 4; the ends
+        certify None before any convolution."""
+        rng = np.random.default_rng(9)
+        y = dist.make(rng.uniform(-1.0, 1.0, 60), rng.dirichlet(np.ones(60)))
+        x = dist.make(np.concatenate(([y.support[0] - 0.5], y.support[1:])), y.probs)
+        with pytest.raises(SupportBlowup, match="2269140 atom pairs"):
+            dist.convolve(dist.convolve(dist.convolve(x, x), x), x)
+        assert dominance.large_numbers_n(x, y, 32) is None
 
     def test_obstruction_blocks_all_n(self):
         rng = np.random.default_rng(56)
