@@ -53,12 +53,13 @@ below margin is WEAK. As a -> K_a is nondecreasing, the gap on a cell
 already computed. Cells where this bracket does not clear the margin are
 halved in t = (2/pi) atan(a), where the infinite cells are finite, and
 each round's midpoints (one k_a_many call per law) are checked as the
-grid is. STRICT needs every bracket clear. The work is bounded: the
-check settles for WEAK when cells are still open after _HALVINGS rounds,
-or when the next round would take the new evaluations past
+grid is. STRICT needs every bracket clear. The check settles for WEAK
+when the next round would take the new evaluations past
 _EXTRA_PER_POINT per grid point, so a call costs at most
-(1 + _EXTRA_PER_POINT) times the grid's K evaluations per law, and at
-most _HALVINGS k_a_many calls per law past the grid; the result records
+(1 + _EXTRA_PER_POINT) times the grid's K evaluations per law; a round
+evaluates a midpoint or more, so this bounds the rounds too. No round
+count is fixed: K_a(sX) = s K_(sa)(X), so at scale s the cells next to
+a = 0 take about log2(s) halvings (989 at 1e300). The result records
 the rounds and evaluations made. A gap that clears the margin by only
 delta keeps about range(Y) / delta cells open, so it is WEAK, not STRICT:
 X = Y shifted up by 1e-9 is WEAK at margin 0.
@@ -73,6 +74,7 @@ alone, and a STRICT verdict there is not certified against it.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -95,9 +97,6 @@ _ATOM_MAJOR_BELOW = 8
 #: a K gap below -_FAIL_TOL * max(1, |support| of both laws) is a failure
 #: of dominance, not rounding
 _FAIL_TOL = 1e-12
-
-#: halving rounds of the bracket check before it settles for WEAK
-_HALVINGS = 40
 
 #: new K evaluations per law the halving may make, per profile-grid point
 _EXTRA_PER_POINT = 16
@@ -265,7 +264,7 @@ def _k_dominates_on(dx, dy, margin, nonpositive):
     # the cells [a_i, a_(i+1)] between neighbouring samples, as t at both
     # ends, K(X) at the left end and K(Y) at the right end
     tl, tr, xl, yr = t[:-1], t[1:], kx[:-1], ky[1:]
-    for rounds in range(_HALVINGS + 1):
+    for rounds in itertools.count():
         k = int(np.argmin(gap))
         best = min(best, (float(gap[k]), float(a[k])))
         bad = gap < -fail
@@ -280,7 +279,7 @@ def _k_dominates_on(dx, dy, margin, nonpositive):
             return KDominanceResult(KOrder.STRICT, None, best[0], rounds, evaluations)
         tl, tr, xl, yr = tl[keep], tr[keep], xl[keep], yr[keep]
         budget -= tl.size
-        if rounds == _HALVINGS or budget < 0:
+        if budget < 0:
             break
         mid = (tl + tr) / 2.0
         a = np.tan(np.pi * mid / 2.0)

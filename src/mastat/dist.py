@@ -222,6 +222,7 @@ def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
     if (n_pairs := d1.n_atoms * d2.n_atoms) > SUPPORT_CAP:
         raise SupportBlowup(f"convolution would enumerate {n_pairs} atom pairs (cap {SUPPORT_CAP})")
     x, y = d1.support, d2.support
+    _check_sums(x, y)
     if 1 < y.size < x.size and d2.min_gap > 2.0 * math.ulp(
         max(-x[0], x[-1]) + max(-y[0], y[-1])
     ):
@@ -233,6 +234,14 @@ def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
     vals = (x[:, None] + y).ravel()
     wts = (d1.probs[:, None] * d2.probs).ravel()
     return _canonical(vals, wts)
+
+
+def _check_sums(x: np.ndarray, y: np.ndarray) -> None:
+    """BadParams unless every pair sum of the sorted supports x, y is
+    finite; fl(a + b) is monotone, so the two extreme sums decide."""
+    lo, hi = float(x[0]) + float(y[0]), float(x[-1]) + float(y[-1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BadParams("sums of support points must be finite doubles")
 
 
 def _positive_int(n, what: str = "n") -> int:
@@ -265,6 +274,7 @@ def iid_power(d: FiniteDist, n: int) -> FiniteDist:
             raise SupportBlowup(
                 f"convolution would enumerate {m * m} atom pairs (cap {SUPPORT_CAP})"
             )
+        _check_sums(base.support, base.support)
         lens = np.arange(m, 0, -1)
         starts = np.cumsum(lens) - lens  # row i starts at its diagonal pair
         j = np.arange(starts[-1] + 1) - np.repeat(starts - np.arange(m), lens)
@@ -291,9 +301,15 @@ def mixture(d1: FiniteDist, d2: FiniteDist, lam: float) -> FiniteDist:
 
 
 def shift(d: FiniteDist, c: float) -> FiniteDist:
+    """The law of X + c. Atoms that the shift brings within SNAP_TOL merge,
+    as in make; otherwise the masses are kept as they are."""
     if c == 0.0:
         return d
-    return FiniteDist(d.support + c, d.probs.copy(), d.log_probs.copy())
+    _check_sums(d.support, np.array([c], dtype=np.float64))
+    x = d.support + c
+    if x.size > 1 and (x[1:] - x[:-1]).min() <= SNAP_TOL:
+        return _sort_merge(x, d.probs)
+    return FiniteDist(x, d.probs.copy(), d.log_probs.copy())
 
 
 def negate(d: FiniteDist) -> FiniteDist:

@@ -7,21 +7,19 @@ the hypothesis that the CGF profile of X strictly dominates that of Y
 (everywhere, or on the nonpositive indices for the second order). Both
 go through _construct, which checks the hypothesis with the one check in
 cgf. Its STRICT verdict holds on the whole index interval, not only on
-the profile grid: a -> K_a is nondecreasing, so each grid cell is
-bracketed by K at its ends and halved until the bracket clears the
-margin, for at most 40 rounds and 16 new K evaluations per grid point
-(else WEAK). Only its FAILS threshold allows for the rounding of K, in
-proportion to the supports' scale; near a = 0 that rounding can be larger
-than the threshold, and the STRICT bracket does not allow for it (see the
-cgf module doc). If X already dominates Y, the catalyst is the point mass
-at 0, one FiniteDist (frozen, arrays read-only) that all such certificates
-share, and the worst gap is fosd's or sosd's, which verify_certificate
-re-runs for it. Otherwise the paper's band floor delta is read off the
-signed masses, not searched for (the proof is in _construct). The
-certificate is machine-checked: the dominance sweep over every breakpoint
-of the convolved cdfs is part of construction, on the same signed masses
-that verify_certificate sweeps. So worst_gap equals the re-verification
-exactly for every certificate; `verified` is set only when it clears -1e-12.
+the profile grid, up to the rounding of K near a = 0 (see the cgf module
+doc). No step has a scale of its own: for s a power of two, (sX, sY)
+gets the exact image of (X, Y)'s certificate, until V, T or the squared
+radius leaves the doubles (N past about 3.5e152). If X already dominates
+Y, the catalyst is the point mass at 0, one FiniteDist (frozen, arrays
+read-only) that all such certificates share, and the worst gap is fosd's
+or sosd's, which verify_certificate re-runs for it. Otherwise the
+paper's band floor delta is read off the signed masses, not searched for
+(the proof is in _construct). The certificate is machine-checked: the
+dominance sweep over every breakpoint of the convolved cdfs is part of
+construction, on the same signed masses that verify_certificate sweeps.
+So worst_gap equals the re-verification exactly for every certificate;
+`verified` is set only when it clears -1e-12.
 
 The sweep does not sort every breakpoint once there are more than
 _ONE_ROW_MAX of them. It bins the merged support and the catalyst onto
@@ -56,6 +54,7 @@ from .dist import (
     merged_support,
 )
 from .errors import (
+    BadParams,
     BudgetExhausted,
     DegenerateGap,
     NoKDominance,
@@ -117,27 +116,34 @@ def fosd(d1: FiniteDist, d2: FiniteDist, tol: float = 0.0) -> FosdResult:
 
     The gap is evaluated both as F2 - F1 (exact in the lower tail) and as
     S1 - S2 of the survival functions (exact in the upper tail), equal in
-    exact arithmetic, at d1's points (searching d2) and at d2's (searching
-    d1); the step tables share their index (see cdf_steps). No merged
-    support is sorted, and the witness is the least failing point.
+    exact arithmetic; the step tables share their index (see cdf_steps), so
+    no merged support is sorted. For tol >= 0 d1's atoms decide dominance:
+    at an atom of d2 alone F2 rises and S2 falls, so both gap forms are at
+    least their values at the point before it, or at least 0 below min d1,
+    while the gap at max d1 is at most 0. So the least failing point and
+    the minimum gap lie at d1's atoms (searching d2). With the roles
+    swapped, the larger form falls at an atom of d1 alone and is at most 0
+    below min d2, so strict needs only d2's atoms (searching d1), and only
+    when d1 passes.
     """
+    if not tol >= 0.0:  # a NaN tol would pass every pair
+        raise BadParams("tol must be a nonnegative number")
     c1, s1, c2, s2 = d1.cdf_steps, d1.survival_steps, d2.cdf_steps, d2.survival_steps
     k2 = np.searchsorted(d2.support, d1.support, side="right")
+    gap = np.minimum(c2[k2] - c1[1:], s1[1:] - s2[k2])  # >= -tol required
+    bad = np.flatnonzero(gap < -tol)
+    if bad.size:
+        return FosdResult(False, False, float(d1.support[bad[0]]), float(gap.min()))
     k1 = np.searchsorted(d1.support, d2.support, side="right")
-    gap_f = np.concatenate((c2[k2] - c1[1:], c2[1:] - c1[k1]))  # >= -tol required
-    gap_s = np.concatenate((s1[1:] - s2[k2], s1[k1] - s2[1:]))
-    gap = np.minimum(gap_f, gap_s)
-    bad = gap < -tol
-    if bad.any():
-        pts = np.concatenate((d1.support, d2.support))[bad]
-        return FosdResult(False, False, float(pts[np.argmin(pts)]), float(gap.min()))
-    strict = bool(np.any(np.maximum(gap_f, gap_s) > tol))
+    strict = bool(np.any(np.maximum(c2[1:] - c1[k1], s1[k1] - s2[1:]) > tol))
     return FosdResult(True, strict, None, float(gap.min()))
 
 
 def sosd(d1: FiniteDist, d2: FiniteDist, tol: float = 0.0) -> SosdResult:
     """Does d1 second-order dominate d2? Exact piecewise-linear integration
     of the cdf gap, checked at every breakpoint."""
+    if not tol >= 0.0:  # a NaN tol would pass every pair
+        raise BadParams("tol must be a nonnegative number")
     pts = merged_support(d1, d2)
     gap = cdf(d2, pts) - cdf(d1, pts)
     integ = np.zeros(pts.size, dtype=np.float64)
@@ -471,10 +477,10 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
     Check strict CGF dominance at margin (on [-inf, 0] at order 2), and
     return Z = point mass at 0 if X already dominates Y. Otherwise take
     eps = 0.995 * cap inside the endpoint gaps, read the quarter-band floor
-    delta, set the exponent cut A by exp(eps*A/4) >= 8N/(eps*delta), then
-    escalate the variance V (doubling, verification-driven) with
-    truncation T = A*V + N, refining the catalyst grid up to 2**14 atoms
-    at each V.
+    delta, set A = (4/eps) log(8N/(eps*delta)) > 0 (eps < cap <= 2N), then
+    double the variance V from N^2, with truncation T = A*V + N, refining
+    the catalyst grid up to 2**14 atoms at each V, until a rung verifies or
+    V, T or the squared grid radius leaves the doubles.
 
     delta needs no search. As eps < cap, only Y has atoms in [min Y,
     min Y + eps/2], and (order 1) only X in [max X - eps/2, max X], so
@@ -504,7 +510,7 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
     mx, my = dx.support, dy.support
     # N is half the span from min Y to max X, or to both laws' top at order 2
     top = mx[-1] if order == 1 else max(mx[-1], my[-1])
-    n_half = (top - my[0]) / 2.0
+    n_half = (float(top) - float(my[0])) / 2.0
     cap = mx[0] - my[0]
     if order == 1:
         cap = min(cap, mx[-1] - my[-1])
@@ -523,9 +529,9 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
         log_ratio = np.log(8.0 * n_half / (eps * delta))
     if not np.isfinite(log_ratio):  # 8N/(eps*delta) overflows for a tiny delta
         log_ratio = np.log(8.0 * n_half / eps) - np.log(delta)
-    a_cut = max(1.0, (4.0 / eps) * log_ratio)
+    a_cut = 4.0 / float(eps) * float(log_ratio)
 
-    variance = max(n_half * n_half, 1e-8)
+    variance = n_half * n_half
     best_gap = -np.inf
     for _ in range(_V_DOUBLINGS + 1):
         trunc = a_cut * variance + n_half
@@ -534,6 +540,8 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
         # discretization may stop there; the catalyst stays supported in
         # [-T, T] and the recorded truncation keeps T >= A*V + N
         radius = min(trunc, math.sqrt(1400.0 * variance) + n_half)
+        if not (math.isfinite(trunc) and math.isfinite(radius * radius)):
+            break  # as floats, not numpy scalars, they overflow with no warning
         for atoms in _Z_ATOMS:
             step = 2.0 * radius / atoms
             z = discretize_trunc_gaussian(variance, radius, step)
@@ -546,7 +554,7 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
                 return CatalystCertificate(z, name, params, True, worst)
         variance *= 2.0
     raise BudgetExhausted(
-        f"catalyst variance escalation exhausted (best gap {best_gap:g})",
+        f"catalyst variance escalation exhausted before V = {variance:g} (best gap {best_gap:g})",
         worst_gap=best_gap,
     )
 

@@ -241,9 +241,11 @@ class TestKDominates:
             assert cgf.k_dominates(dist.shift(x, 1e-11), y).order is cgf.KOrder.WEAK, (s, p)
 
     def test_open_cells_after_the_last_round_are_weak(self, monkeypatch):
-        monkeypatch.setattr(cgf, "_HALVINGS", 0)
+        # no budget for a single midpoint: the open cells stop the check
+        monkeypatch.setattr(cgf, "_EXTRA_PER_POINT", 0)
         res = cgf.k_dominates(*grid_miss_pair(), margin=1e-6)
         assert res.order is cgf.KOrder.WEAK and res.min_gap > 1e-6
+        assert res.rounds == 0 and res.evaluations == cgf.profile_grid().size
 
     def test_gap_just_above_the_margin_is_weak_with_bounded_work(self, monkeypatch):
         # the bracket needs about range(Y) / 1e-9 cells here; the halving
@@ -262,10 +264,12 @@ class TestKDominates:
             counted.clear()
             res = cgf._k_dominates_on(dist.shift(d, 1e-9), d, 0.0, nonpositive)
             assert res.order is cgf.KOrder.WEAK and 0.0 < res.min_gap < 2e-9
-            assert sum(counted) <= 2 * (1 + cgf._EXTRA_PER_POINT) * size
-            assert len(counted) <= 2 * (cgf._HALVINGS + 1)
-            # the grid is not evaluated by k_a_many; the midpoints are
-            assert 0 < res.rounds <= cgf._HALVINGS and len(counted) == 2 * res.rounds
+            assert sum(counted) <= 2 * cgf._EXTRA_PER_POINT * size
+            # a round evaluates at least one midpoint, so the budget bounds
+            # the rounds; the grid is not evaluated by k_a_many, the
+            # midpoints are
+            assert 0 < res.rounds <= cgf._EXTRA_PER_POINT * size
+            assert len(counted) == 2 * res.rounds and min(counted) >= 1
             assert res.evaluations == size + sum(counted) // 2
             assert res.evaluations <= (1 + cgf._EXTRA_PER_POINT) * size
 

@@ -489,6 +489,15 @@ class TestCsvOutputs:
         fs = [float(line.split(",")[1]) for line in out[1:]]
         assert fs[-1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_cdf_csv_sum_past_the_largest_double_is_input_error(self, capsys, files):
+        # it printed a -inf row and exited 0, with an overflow warning
+        wide = files["tmp"] / "wide.json"
+        wide.write_text(json.dumps({"support": [-1e308, 0.0], "probs": [0.5, 0.5]}))
+        code = cli.run(["cdf-csv", str(wide), str(wide), "--add", str(wide)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: sums of support points must be finite doubles\n"
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, files):

@@ -151,6 +151,25 @@ class TestConvolve:
         with pytest.raises(SupportBlowup, match=r"\(cap 10000\)"):
             dist.convolve(d, d)
 
+    def test_sums_past_the_largest_double_rejected(self):
+        # convolve returned support [-inf, -1e308, 0] with an overflow warning,
+        # and a second convolution merged the -inf sums through NaN gaps
+        wide = dist.make([-1e308, 0.0], [0.5, 0.5])
+        top = dist.make([np.finfo(np.float64).max], [1.0])
+        calls = (
+            lambda: dist.convolve(wide, wide),
+            lambda: dist.iid_power(wide, 2),
+            lambda: dist.iid_power(dist.negate(wide), 5),
+            lambda: dist.convolve(dist.make([1e300], [1.0]), top),
+        )
+        for call in calls:
+            with pytest.raises(BadParams, match="sums of support points must be finite doubles"):
+                call()
+        # sums up to the largest double stay legal
+        half = dist.make([-8e307, 0.0], [0.5, 0.5])
+        assert dist.convolve(half, half).support.tolist() == [-1.6e308, -8e307, 0.0]
+        assert dist.iid_power(half, 2).support.tolist() == [-1.6e308, -8e307, 0.0]
+
     def test_sums_near_a_million_stay_strictly_increasing(self):
         """Past |x| of about 4e6 adjacent doubles snap-merge and 2 ulp do
         not, so the rounded mean of a cluster can reach the next one. The
@@ -337,6 +356,27 @@ class TestShiftNegate:
     def test_identity_shift(self):
         d = dist.negate(random_dist(np.random.default_rng(5)))
         assert dist.shift(d, 0.0) is d
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 1.7e308])
+    def test_shift_past_the_doubles_rejected(self, c):
+        # a NaN shift returned a NaN support; inf reported "support must be
+        # strictly increasing"
+        d = dist.make([0.0, 1e308], [0.5, 0.5])
+        with pytest.raises(BadParams, match="sums of support points must be finite doubles"):
+            dist.shift(d, c)
+
+    def test_shift_snap_merges_as_make_does(self):
+        # 1e8 + 2e-9 rounds to 1e8: the shift raised "support must be
+        # strictly increasing"
+        d = dist.make([0.0, 2e-9], [0.25, 0.75])
+        assert same_bytes(dist.shift(d, 1e8), dist.make(d.support + 1e8, d.probs))
+        assert dist.shift(d, 1e8).support.tolist() == [1e8]
+        # where the shifted gaps still exceed SNAP_TOL, the bytes are kept
+        e = dist.decay_two_point(4096, 1.0)
+        moved = dist.shift(e, 0.5)
+        assert moved.support.tolist() == [0.5, 4096.5]
+        assert moved.probs.tobytes() == e.probs.tobytes()
+        assert moved.log_probs.tobytes() == e.log_probs.tobytes()
 
 
 class TestCdfMoments:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -49,6 +50,16 @@ class TestFosd:
         res = dominance.fosd(d, d)
         assert res.dominates and not res.strict
 
+    @pytest.mark.parametrize("test", [dominance.fosd, dominance.sosd])
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3, -0.5])
+    def test_nan_or_negative_tol_rejected(self, test, tol):
+        # a NaN tol certified X = {0, 1} over X + 0.5 (min gap -0.5), and a
+        # negative one made every pair fail
+        x = dist.make([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(BadParams, match="tol must be a nonnegative number"):
+            test(x, dist.shift(x, 0.5), tol=tol)
+        assert not test(x, dist.shift(x, 0.5)).dominates
+
 
 class TestFosdSingleSearch:
     """fosd searches each support once; its result must be the bytes of
@@ -77,10 +88,6 @@ class TestFosdSingleSearch:
             for d1, d2 in ((x, y), (x, x), (y, y), (part, y), (part, x), (ends, x)):
                 self._assert_oracle(d1, d2)
                 self._assert_oracle(d1, dist.make(d1.support, d1.probs[::-1]))
-            # below a negative tol, d2's least atom fails before d1's
-            d1, d2 = dist.make([0.0], [1.0]), dist.make([-1.0, 5.0], [0.1, 0.9])
-            assert repr(dominance.fosd(d1, d2, -0.5)) == repr(fosd_four_searches(d1, d2, -0.5))
-            assert dominance.fosd(d1, d2, -0.5).witness == -1.0
             return
         for _ in range(300):
             d1 = seeded_law(rng, int(rng.integers(1, 13)), kind, scale)
@@ -303,6 +310,112 @@ class TestBandFloor:
         x = dist.make([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(BadParams, match="margin must not be NaN"):
             find(x, x, margin=math.nan)
+
+
+def _scaled(d, s):
+    """The law of s X, built from d's arrays as they are."""
+    return dist.FiniteDist(d.support * s, d.probs, d.log_probs)
+
+
+def _pair_a(s):
+    """X = {0: 2/3, s: 1/3} against Y uniform on [-0.4 s, 0.6 s] in 20 cells."""
+    x = dist.make([0.0, 1.0], [2 / 3, 1 / 3])
+    return _scaled(x, s), _scaled(dist.discretize_uniform(-0.4, 0.6, 0.05), s)
+
+
+def _best_time(call, repeats=3):
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = call()
+        best = min(best, time.perf_counter() - start)
+    return out, best
+
+
+_FIND = {"first": dominance.find_catalyst_first, "second": dominance.find_catalyst_second}
+
+
+class TestScaleFree:
+    """Dominance of every order is invariant under x -> s x, and so are the
+    CGF check's verdict and the catalyst: no step of either has a scale of
+    its own. For s a power of two every step is exact, so a certificate is
+    the exact image of the one at s = 1."""
+
+    @staticmethod
+    def _cases():
+        pairs = itertools.islice(strict_pair_stream(np.random.default_rng(2024)), 20)
+        cases = [(order, x, y) for x, y in pairs for order in ("first", "second")]
+        x, y = figure_pair()
+        return cases + [("first", x, dist.shift(y, 0.31)), ("second", x, dist.shift(y, 0.33))]
+
+    def test_power_of_two_scales_give_exact_images(self):
+        checked = 0
+        for order, x, y in self._cases():
+            base = _FIND[order](x, y, margin=0.0)
+            for k in (-20, -10, 10, 50, 200, 500):
+                s = 2.0**k
+                xs, ys = _scaled(x, s), _scaled(y, s)
+                if min(xs.min_gap, ys.min_gap) <= dist.SNAP_TOL:
+                    continue  # make would merge these atoms
+                cert = _FIND[order](xs, ys, margin=0.0)
+                assert cert.verified and cert.order == base.order
+                assert np.array_equal(cert.catalyst.support, base.catalyst.support * s)
+                assert np.array_equal(cert.catalyst.probs, base.catalyst.probs)
+                p, q = base.params, cert.params
+                assert q.delta == p.delta and q.a_cut == p.a_cut / s
+                assert q.variance == p.variance * s * s
+                for field in ("n_half_range", "epsilon", "truncation", "step"):
+                    assert getattr(q, field) == getattr(p, field) * s, (field, k)
+                assert cert.worst_gap == base.worst_gap * (s if order == "second" else 1.0)
+                checked += 1
+        assert checked >= 240
+
+    def test_decimal_scales_keep_the_verdict_and_the_atom_count(self):
+        for x, y in itertools.islice(strict_pair_stream(np.random.default_rng(2024)), 20):
+            verdict = cgf.k_dominates(x, y, 0.0).order
+            atoms = {o: _FIND[o](x, y, margin=0.0).catalyst.n_atoms for o in _FIND}
+            for k in (-7, 15, 150, 300):
+                xs, ys = _scaled(x, 10.0**k), _scaled(y, 10.0**k)
+                if min(xs.min_gap, ys.min_gap) <= dist.SNAP_TOL:
+                    continue
+                assert cgf.k_dominates(xs, ys, 0.0).order is verdict, k
+                if k <= 150:
+                    for o in _FIND:
+                        assert _FIND[o](xs, ys, margin=0.0).catalyst.n_atoms == atoms[o], (o, k)
+
+    def test_pair_a_at_the_small_and_the_large_end(self):
+        # at s = 1e-7 an absolute floor on V made every rung fail (2 s, then
+        # BudgetExhausted); from s = 1e15 a cap of 40 halvings read WEAK
+        x, y = _pair_a(1e-7)
+        cert, seconds = _best_time(lambda: dominance.find_catalyst_first(x, y, margin=0.0))
+        p = cert.params
+        assert cert.verified and cert.catalyst.n_atoms == 1025
+        assert p.variance == p.n_half_range**2 and seconds < 0.1
+        # margin stays absolute: the default 1e-6 is above this pair's gap
+        with pytest.raises(NoKDominance):
+            dominance.find_catalyst_first(x, y)
+        # about log2(s) halvings reach |a| ~ 1/s: 989 rounds in 70 ms at 1e300
+        # on a 2-core machine; the time bound leaves room for slower runners
+        for s, most in ((1e15, 0.1), (1e300, 0.25)):
+            res, seconds = _best_time(lambda: cgf.k_dominates(*_pair_a(s), 0.0))
+            assert res.order is cgf.KOrder.STRICT and res.rounds <= 1100 and seconds < most, s
+
+    @pytest.mark.parametrize("s", [1e153, 1e200, 1e307])
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_escalation_stops_where_the_catalyst_leaves_the_doubles(self, s, order):
+        # the squared catalyst radius is about 1474 N^2, past the largest
+        # double from N = 3.5e152 on; such a rung is not tried, and no
+        # overflow warning (an error under pytest) is raised
+        x, y = figure_pair()
+        xs, ys = _scaled(x, s), _scaled(dist.shift(y, 0.31), s)
+        assert cgf.k_dominates(xs, ys).order is cgf.KOrder.STRICT
+        with pytest.raises(BudgetExhausted, match="exhausted before V = "):
+            _FIND[order](xs, ys)
+
+    def test_largest_scale_that_verifies(self):
+        x, y = figure_pair()
+        cert = dominance.find_catalyst_first(_scaled(x, 1e152), _scaled(dist.shift(y, 0.31), 1e152))
+        assert cert.verified and cert.params.n_half_range > 6e151
 
 
 def _every_n_oracle(dx, dy, n_max):
