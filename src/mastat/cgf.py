@@ -42,8 +42,8 @@ call (a = 0 replaced by its neighbour, a column then overwritten), and
 K_(-inf), K_0 and K_(+inf) come from the moments (lo, mean + 0, hi). The
 bytes are the masked path's, as _k_direct reduces each index's atoms on
 their own, whichever indices share the call. Where |a| scale leaves
-[_SMALL_A, _HUGE_A] on the interior (scale past 1.5e298 at 201 points,
-n_grid past 3.1e6), the grid goes through k_a_many.
+[_SMALL_A, _HUGE_A] on the interior (scale past 1.5e298 at 201 points;
+n_grid <= SUPPORT_CAP keeps |a| >= 3e-6), the grid goes through k_a_many.
 
 k_dominates certifies K_a(X) > K_a(Y) + margin on the whole index
 interval. On the profile grid, a gap below -_FAIL_TOL * max(1, |x| over
@@ -82,7 +82,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dist import FiniteDist
+from .dist import SUPPORT_CAP, FiniteDist, _positive_int
 from .errors import BadParams
 
 #: |a| * scale below this switches to the second-order expansion around a=0.
@@ -178,8 +178,9 @@ class KProfile:
 def profile_grid(n_grid: int = 201) -> np.ndarray:
     """{-inf} + tan-mapped interior points (always including 0) + {+inf}.
 
-    n_grid is bumped to the next odd integer so the mean point a = 0 is on
-    the grid. The array is built once per size and is read-only.
+    n_grid, an integer from 3 to SUPPORT_CAP (BadParams otherwise), is
+    bumped to the next odd integer so the mean point a = 0 is on the grid.
+    The array is built once per size and is read-only.
     """
     return _grid(n_grid)[1]
 
@@ -190,8 +191,9 @@ def _grid(n_grid: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, float
     grid is tan(pi t / 2) on an even t-grid over [-1, 1], whose ends t = -1
     and 1 stand for -inf and +inf; the regular interior is the grid without
     its ends, with a = 0 replaced by its right neighbour."""
-    if n_grid < 3:
-        raise BadParams("n_grid must be at least 3")
+    n_grid = _positive_int(n_grid, "n_grid")
+    if not 3 <= n_grid <= SUPPORT_CAP:
+        raise BadParams(f"n_grid must be at least 3 and at most {SUPPORT_CAP}")
     if n_grid % 2 == 0:
         n_grid += 1
     t = np.linspace(-1.0, 1.0, n_grid + 2)

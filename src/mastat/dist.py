@@ -132,14 +132,15 @@ def _canonical(support, probs) -> FiniteDist:
 
     Input that is already canonical (strictly increasing with gaps above
     SNAP_TOL, all masses positive) skips the sort and merge; the result is
-    the same bytes either way. A gap past the largest double is inf.
+    the same bytes either way. A gap past the largest double is inf. The
+    result keeps the support array, so callers pass one of their own.
     """
     with np.errstate(over="ignore"):
         if probs.min() > 0.0 and (
             support.size == 1 or (support[1:] - support[:-1]).min() > SNAP_TOL
         ):
             probs = probs / probs.sum()
-            return FiniteDist(support.copy(), probs, np.log(probs))
+            return FiniteDist(support, probs, np.log(probs))
         return _sort_merge(support, probs)
 
 
@@ -186,7 +187,7 @@ def make(support, probs) -> FiniteDist:
 
     Raises LengthMismatch, NegativeProb, or MassNotOne on bad input.
     """
-    support = np.asarray(support, dtype=np.float64).ravel()
+    support = np.array(support, dtype=np.float64).ravel()  # a copy, see _canonical
     probs = np.asarray(probs, dtype=np.float64).ravel()
     if support.size != probs.size or support.size == 0:
         raise LengthMismatch(
@@ -309,7 +310,7 @@ def shift(d: FiniteDist, c: float) -> FiniteDist:
     x = d.support + c
     if x.size > 1 and (x[1:] - x[:-1]).min() <= SNAP_TOL:
         return _sort_merge(x, d.probs)
-    return FiniteDist(x, d.probs.copy(), d.log_probs.copy())
+    return FiniteDist(x, d.probs, d.log_probs)  # read-only, so shared
 
 
 def negate(d: FiniteDist) -> FiniteDist:
@@ -325,7 +326,7 @@ def cdf(d: FiniteDist, x):
     at exactly 1.0 regardless of accumulated rounding.
     """
     out = d.cdf_steps[np.searchsorted(d.support, x, side="right")]
-    if np.isscalar(x) or np.ndim(x) == 0:
+    if np.ndim(x) == 0:
         return float(out)
     return out
 

@@ -5,21 +5,23 @@ support point. find_catalyst_first / find_catalyst_second construct an
 independent truncated-Gaussian Z such that X + Z dominates Y + Z, under
 the hypothesis that the CGF profile of X strictly dominates that of Y
 (everywhere, or on the nonpositive indices for the second order). Both
-go through _construct, which checks the hypothesis with the one check in
-cgf. Its STRICT verdict holds on the whole index interval, not only on
-the profile grid, up to the rounding of K near a = 0 (see the cgf module
-doc). No step has a scale of its own: for s a power of two, (sX, sY)
-gets the exact image of (X, Y)'s certificate, until V, T or the squared
-radius leaves the doubles (N past about 3.5e152). If X already dominates
-Y, the catalyst is the point mass at 0, one FiniteDist (frozen, arrays
-read-only) that all such certificates share, and the worst gap is fosd's
-or sosd's, which verify_certificate re-runs for it. Otherwise the
-paper's band floor delta is read off the signed masses, not searched for
-(the proof is in _construct). The certificate is machine-checked: the
-dominance sweep over every breakpoint of the convolved cdfs is part of
-construction, on the same signed masses that verify_certificate sweeps.
-So worst_gap equals the re-verification exactly for every certificate;
-`verified` is set only when it clears -1e-12.
+go through _construct, which checks the hypothesis at a margin >= 0 with
+the one check in cgf, whose STRICT verdict then implies the positive
+endpoint gaps that the construction needs. The verdict holds on the
+whole index interval, not only on the profile grid, up to the rounding
+of K near a = 0 (see the cgf module doc). No step has a scale of its
+own: for s a power of two, (sX, sY) gets the exact image of (X, Y)'s
+certificate, until V, T or the squared radius leaves the doubles (N past
+about 3.5e152). If X already dominates Y, the catalyst is the point mass
+at 0, one FiniteDist (frozen, arrays read-only) that all such
+certificates share, and the worst gap is fosd's or sosd's, which
+verify_certificate re-runs for it. Otherwise the paper's band floor
+delta is read off the signed masses, not searched for (the proofs are in
+_construct). The certificate is machine-checked: the dominance sweep over
+every breakpoint of the convolved cdfs is part of construction, on the
+same signed masses that verify_certificate sweeps. So worst_gap equals
+the re-verification exactly for every certificate; `verified` is set
+only when it clears -1e-12.
 
 The sweep does not sort every breakpoint once there are more than
 _ONE_ROW_MAX of them. It bins the merged support and the catalyst onto
@@ -53,13 +55,7 @@ from .dist import (
     discretize_trunc_gaussian,
     merged_support,
 )
-from .errors import (
-    BadParams,
-    BudgetExhausted,
-    DegenerateGap,
-    NoKDominance,
-    NoKDominanceOnNegatives,
-)
+from .errors import BadParams, BudgetExhausted, NoKDominance, NoKDominanceOnNegatives
 
 _GAP_TOL = 1e-12
 
@@ -147,10 +143,7 @@ def sosd(d1: FiniteDist, d2: FiniteDist, tol: float = 0.0) -> SosdResult:
     pts = merged_support(d1, d2)
     gap = cdf(d2, pts) - cdf(d1, pts)
     integ = np.zeros(pts.size, dtype=np.float64)
-    if pts.size > 1:
-        integ[1:] = np.cumsum(gap[:-1].astype(np.longdouble) * np.diff(pts)).astype(
-            np.float64
-        )
+    integ[1:] = np.cumsum(gap[:-1].astype(np.longdouble) * np.diff(pts))
     bad = np.flatnonzero(integ < -tol)
     if bad.size:
         i = int(bad[0])
@@ -182,10 +175,9 @@ def _signed_masses(dx: FiniteDist, dy: FiniteDist) -> Tuple[np.ndarray, np.ndarr
     """Merged support u and signed masses law(Y) - law(X) on it."""
     u = merged_support(dx, dy)
     s = np.zeros(u.size, dtype=np.float64)
-    ix = np.searchsorted(u, dx.support)
-    iy = np.searchsorted(u, dy.support)
-    np.add.at(s, iy, dy.probs)
-    np.add.at(s, ix, -dx.probs)
+    # a support is strictly increasing, so no index repeats
+    s[np.searchsorted(u, dy.support)] = dy.probs
+    s[np.searchsorted(u, dx.support)] -= dx.probs
     return u, s
 
 
@@ -464,23 +456,29 @@ def verify_certificate(
     cert: CatalystCertificate, dx: FiniteDist, dy: FiniteDist
 ) -> float:
     """Re-run the check behind a certificate; returns the worst gap."""
-    order = 1 if cert.order == "first" else 2
+    first = cert.order == "first"
     if cert.catalyst is _POINT_ZERO:  # X dominates Y: fosd's or sosd's worst gap
-        return fosd(dx, dy).min_gap if order == 1 else sosd(dx, dy).min_integral
-    u, s = _signed_masses(dx, dy)
-    return _conv_gap_sweep(u, s, cert.catalyst, order)[0]
+        return fosd(dx, dy).min_gap if first else sosd(dx, dy).min_integral
+    sweep = fosd_with_catalyst if first else sosd_with_catalyst
+    return sweep(dx, dy, cert.catalyst)[0]
 
 
 def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> CatalystCertificate:
     """Shared first/second order construction, following the proof recipe.
 
-    Check strict CGF dominance at margin (on [-inf, 0] at order 2), and
-    return Z = point mass at 0 if X already dominates Y. Otherwise take
+    Check strict CGF dominance at margin >= 0 (on [-inf, 0] at order 2),
+    and return Z = point mass at 0 if X already dominates Y. Otherwise take
     eps = 0.995 * cap inside the endpoint gaps, read the quarter-band floor
     delta, set A = (4/eps) log(8N/(eps*delta)) > 0 (eps < cap <= 2N), then
     double the variance V from N^2, with truncation T = A*V + N, refining
     the catalyst grid up to 2**14 atoms at each V, until a rung verifies or
     V, T or the squared grid radius leaves the doubles.
+
+    The endpoint gaps need no check: the profile grid holds -inf (and +inf
+    at order 1), where K is the moments' ends, so the gaps sampled there
+    are mx[0] - my[0] and mx[-1] - my[-1], the subtractions that make cap,
+    and STRICT puts them above margin >= 0. Then N >= cap / 2 > 0, unless
+    X is the point mass at the double after min Y, which dominates Y.
 
     delta needs no search. As eps < cap, only Y has atoms in [min Y,
     min Y + eps/2], and (order 1) only X in [max X - eps/2, max X], so
@@ -492,6 +490,8 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
     as fosd's survival gap is. Both are positive; a smaller eps only
     lowers them.
     """
+    if margin < 0:  # a NaN margin goes on to the K-check, which refuses it
+        raise BadParams("margin must not be negative")
     kres = _k_dominates_on(dx, dy, margin, nonpositive=order == 2)
     if kres.order is not KOrder.STRICT:
         error = NoKDominance if order == 1 else NoKDominanceOnNegatives
@@ -514,8 +514,6 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
     cap = mx[0] - my[0]
     if order == 1:
         cap = min(cap, mx[-1] - my[-1])
-    if cap <= 0 or n_half <= 0:
-        raise DegenerateGap("endpoint gaps are not positive: no end band has a cdf gap")
     u, s = _signed_masses(dx, dy)
     eps = 0.995 * cap
     # the quarter-band floor: Y's mass up to min Y + eps/4, summed from the
@@ -565,8 +563,9 @@ def find_catalyst_first(
     """Construct an independent Z with X + Z >=_1 Y + Z.
 
     Requires K_a(X) > K_a(Y) + margin for every a, certified by
-    cgf.k_dominates; raises NoKDominance (with witness) otherwise. If X
-    already dominates Y the certificate is degenerate (Z = point mass at 0).
+    cgf.k_dominates; raises NoKDominance (with witness) otherwise, and
+    BadParams for a negative or NaN margin. If X already dominates Y the
+    certificate is degenerate (Z = point mass at 0).
     """
     return _construct(dx, dy, 1, margin)
 

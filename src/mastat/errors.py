@@ -86,10 +86,6 @@ class NoKDominanceOnNegatives(NoKDominance):
     pass
 
 
-class DegenerateGap(MasError):
-    """Endpoint gaps vanish, so the end bands of the construction are empty."""
-
-
 class BudgetExhausted(MasError):
     """Escalation budget ran out; carries the best dominance gap seen."""
 

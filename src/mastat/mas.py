@@ -70,7 +70,7 @@ def make_measure(locations, weights) -> MixingMeasure:
     order = np.argsort(locations, kind="stable")
     locations = locations[order]
     weights = weights[order]
-    # merge exact duplicates, drop zero-weight atoms
+    # merge exact duplicates, drop zero-weight atoms (a total near 1 keeps one)
     starts = np.flatnonzero(
         np.concatenate(([True], locations[1:] != locations[:-1]))
     )
@@ -78,8 +78,6 @@ def make_measure(locations, weights) -> MixingMeasure:
     wts = np.add.reduceat(weights, starts)
     keep = wts > 0
     locs, wts = locs[keep], wts[keep]
-    if locs.size == 0:
-        raise MassNotOne("all atoms have zero weight")
     return MixingMeasure(locs, wts / wts.sum())
 
 

@@ -11,6 +11,7 @@ statistic sum_i lambda_i K_{-r_i} and the harmonic social rate
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -374,13 +375,17 @@ def find_framing_violation(
     pref1(X) > pref1(X'), pref2(Y) > pref2(Y'), and X' + Y' strictly
     first-order dominating X + Y; None if none exists within the budget.
 
-    The ranked pairs are walked lazily, so max_candidates bounds both the
-    quadruples compared and the pairs walked on either side. It does not
-    bound the grid: every gamble is still built and ranked once.
+    The ranked pairs are walked lazily, so max_candidates, an integer (0
+    if negative), bounds both the quadruples compared and the pairs walked
+    on either side. It does not bound the grid: every gamble is still
+    built and ranked once.
     """
+    if not (-math.inf < max_candidates < math.inf and int(max_candidates) == max_candidates):
+        raise BadParams("max_candidates must be an integer")
+    # islice takes no count past sys.maxsize, which no walk reaches
+    budget = min(max(int(max_candidates), 0), sys.maxsize)
     gambles = grid.gambles()
     v1, v2 = _values(pref1, gambles), _values(pref2, gambles)
-    budget = max(max_candidates, 0)
     inner = list(islice(_ranked(v2), budget))
     if not inner:  # else the walk below would visit every outer pair for nothing
         return None

@@ -159,6 +159,17 @@ class TestProfile:
             with pytest.raises(BadParams):
                 cgf.profile_grid(n_grid)
 
+    def test_grid_size_past_the_cap_or_not_an_integer_is_bad_params(self):
+        # 10**20 points used to reach np.linspace ("Maximum allowed size
+        # exceeded") and 2.5 a TypeError; SUPPORT_CAP points are the most
+        for n_grid in (dist.SUPPORT_CAP + 1, 10**20, 2.5, math.nan, math.inf):
+            with pytest.raises(BadParams, match="n_grid must be"):
+                cgf.profile_grid(n_grid)
+
+    def test_integral_float_grid_size(self):
+        # used to raise TypeError in np.linspace
+        assert cgf.profile_grid(5.0).tobytes() == cgf.profile_grid(5).tobytes()
+
 
 class TestKDominates:
     def test_shift_is_strict_up_to_shift(self):

@@ -449,6 +449,13 @@ class TestCsvOutputs:
         assert out[-1].startswith("+inf,")
         assert len(out) == 1 + 11 + 2
 
+    def test_kprofile_grid_past_the_cap_is_input_error(self, capsys, files):
+        # used to exit 1 with a numpy ValueError traceback
+        code = cli.run(["kprofile", "--dist", files["X"], "--n-grid", "100000000000000000000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: n_grid must be at least 3 and at most")
+
     def test_kprofile_extreme_scale_has_mean_at_zero(self, capsys, files):
         # the variance overflows to inf; K_0 used to print as nan
         path = files["tmp"] / "wide.json"

@@ -11,7 +11,6 @@ import mastat.dominance as dominance_mod
 from mastat.errors import (
     BadParams,
     BudgetExhausted,
-    DegenerateGap,
     NoKDominance,
     NoKDominanceOnNegatives,
     SupportBlowup,
@@ -294,15 +293,18 @@ class TestBandFloor:
                     found[order] += 1
         assert min(found.values()) >= 20
 
-    def test_endpoint_gap_is_the_one_degenerate_case(self):
+    def test_negative_margin_rejected(self):
         # strict CGF dominance at a margin >= 0 implies both endpoint gaps;
-        # at a negative margin equal tops (a gap of 0 at +inf) reach the check
+        # k_dominates takes a negative margin, under which equal tops (a
+        # gap of 0 at +inf) read STRICT, but the construction refuses one
         x = dist.make([0.0, 1.0], [0.5, 0.5])
         y = dist.make([-0.5, 0.3, 1.0], [0.3, 0.3, 0.4])
         assert cgf.k_dominates(x, y, margin=-1.0).order is cgf.KOrder.STRICT
         assert not dominance.fosd(x, y).dominates
-        with pytest.raises(DegenerateGap, match="endpoint gaps are not positive"):
-            dominance.find_catalyst_first(x, y, margin=-1.0)
+        for find in (dominance.find_catalyst_first, dominance.find_catalyst_second):
+            for margin in (-1.0, -1e-300):
+                with pytest.raises(BadParams, match="margin must not be negative"):
+                    find(x, y, margin=margin)
 
     @pytest.mark.parametrize("find", [dominance.find_catalyst_first, dominance.find_catalyst_second])
     def test_nan_margin_rejected(self, find):

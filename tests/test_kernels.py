@@ -266,6 +266,35 @@ def test_conv_sweep_matches_oracle(pairs, path, monkeypatch):
             assert abs(got - want) <= 1e-15
 
 
+def _signed_masses_add_at(dx, dy):
+    """_signed_masses as first written: two np.add.at calls."""
+    u = dist.merged_support(dx, dy)
+    s = np.zeros(u.size, dtype=np.float64)
+    np.add.at(s, np.searchsorted(u, dy.support), dy.probs)
+    np.add.at(s, np.searchsorted(u, dx.support), -dx.probs)
+    return u, s
+
+
+def _shared_point_pairs():
+    # supports drawn from one set of points, so most points are in both
+    rng = np.random.default_rng(305)
+    points = np.sort(rng.uniform(-3.0, 3.0, 40))
+    for n in (2, 10, 40):
+        x_at = np.sort(rng.choice(points, n, replace=False))
+        y_at = np.sort(rng.choice(points, n, replace=False))
+        x = dist.make(x_at, rng.dirichlet(np.ones(n)))
+        yield x, dist.make(y_at, rng.dirichlet(np.ones(n))), None
+        yield x, dist.make(x_at, rng.dirichlet(np.ones(n))), None  # every point
+        yield x, x, None
+
+
+@pytest.mark.parametrize("pairs", [_random_pairs, _lattice_pairs, _shared_point_pairs])
+def test_signed_masses_match_add_at(pairs):
+    for x, y, _ in pairs():
+        got, want = dominance._signed_masses(x, y), _signed_masses_add_at(x, y)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def test_row_bound_below_every_row():
     # the bound on each row lies below the oracle's worst value in that row
     x, y, find = _figure_rung("first-020")

@@ -5,6 +5,7 @@ import pytest
 
 from mastat import dist, mas
 from mastat.errors import (
+    BadSupport,
     EmptyFamily,
     EmptyGrid,
     InfiniteAtom,
@@ -40,6 +41,11 @@ class TestMeasure:
         for wts in ([np.nan, 1.0], [1.0, np.nan]):
             with pytest.raises(InputError):
                 mas.make_measure([1.0, 2.0], wts)
+
+    def test_nan_location_rejected(self):
+        for locs in ([np.nan, 1.0], [1.0, np.nan]):
+            with pytest.raises(BadSupport, match="locations must not be NaN"):
+                mas.make_measure(locs, [0.5, 0.5])
 
     def test_infinite_atoms_ordered(self):
         mu = mas.make_measure([np.inf, 0.0, -np.inf], [0.2, 0.5, 0.3])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -497,6 +498,29 @@ class TestFramingViolation:
             )
             is None
         )
+
+    def test_budget_past_sys_maxsize(self):
+        # islice takes no count past sys.maxsize; such a budget used to end
+        # in a bare ValueError, and is now clamped, as no walk gets that far
+        want = pref.find_framing_violation(pref.median, pref.median, self.GRID, 10**5)
+        assert want is not None
+        for budget in (sys.maxsize, sys.maxsize + 1, 10**20, 10**400, 1e20):
+            got = pref.find_framing_violation(pref.median, pref.median, self.GRID, budget)
+            assert all(same_bytes(a, b) for a, b in zip(got, want))
+        mu = pref.preference_mas(mas.make_measure([-0.5, 1.0], [0.5, 0.5]))
+        small = pref.GambleGrid((-1.0, 0.0, 1.0), 0.25, 2)
+        assert pref.find_framing_violation(mu, mu, small, 10**20) is None
+
+    @pytest.mark.parametrize("budget", [2.5, -2.5, math.nan, math.inf, -math.inf])
+    def test_non_integer_budget_is_bad_params(self, budget):
+        with pytest.raises(BadParams, match="max_candidates must be an integer"):
+            pref.find_framing_violation(pref.median, pref.median, self.GRID, budget)
+
+    def test_cli_budget_past_sys_maxsize(self, capsys):
+        argv = ["violation-search", "--pref1", "median", "--pref2", "median",
+                "--budget", "100000000000000000000"]
+        assert cli.run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["found"]
 
     MU = mas.make_measure([-0.5, 1.0], [0.5, 0.5])
     PREFS = {
