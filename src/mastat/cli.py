@@ -178,10 +178,7 @@ def _cmd_classify(args):
 
 
 def _cmd_compare(args):
-    mu1 = load_measure(args.measure1)
-    mu2 = load_measure(args.measure2)
-    grid = None if args.b_grid is None else _numbers(args.b_grid, "--b-grid", text=True)
-    res = mas.compare(mu1, mu2, grid)
+    res = mas.compare(load_measure(args.measure1), load_measure(args.measure2))
     incomparable = res.order is mas.CompareOrder.INCOMPARABLE
     return {"order": res.order.value, "witness": res.witness}, 1 if incomparable else 0
 
@@ -195,7 +192,7 @@ def _cmd_dominance(args):
 def _cmd_catalyst(args):
     find = dominance.find_catalyst_first if args.order == 1 else dominance.find_catalyst_second
     cert = find(load_dist(args.dist1), load_dist(args.dist2), margin=args.margin)
-    return cert_to_dict(cert), 0 if cert.verified else 1
+    return cert_to_dict(cert), 0  # every failure raises
 
 
 def _cmd_large_n(args):
@@ -367,7 +364,6 @@ _COMMANDS = {
     "compare": (_cmd_compare, [
         ("measure1", {}),
         ("measure2", {}),
-        ("--b-grid", {}),
     ]),
     "dominance": (_cmd_dominance, [
         ("dist1", {}),

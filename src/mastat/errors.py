@@ -38,10 +38,6 @@ class BadParams(InputError):
     pass
 
 
-class EmptyGrid(InputError):
-    pass
-
-
 class InfiniteAtom(InputError):
     pass
 

@@ -7,8 +7,9 @@ reals. It induces the statistic
 
 which is monotone in first-order stochastic dominance and additive over
 independent sums; this module also hosts the risk classification and the
-comparative-risk-aversion test, the domain extensions from nonnegative and
-integer supports, and the sub/super-additive set-valued variants.
+comparative-risk-aversion test (exact, at the measures' atoms and the
+limits b -> 0+-), the domain extensions from nonnegative and integer
+supports, and the sub/super-additive set-valued variants.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from .dist import FiniteDist, _positive_int, floor_dist, iid_power, moments, shi
 from .errors import (
     BadSupport,
     EmptyFamily,
-    EmptyGrid,
     InfiniteAtom,
     MassNotOne,
     NegativeProb,
@@ -135,77 +135,62 @@ class CompareOrder(Enum):
 
 @dataclass(frozen=True)
 class CompareResult:
+    """The order of two statistics; for INCOMPARABLE, the first b in
+    increasing order where the LE test fails. A witness of -0.0 or 0.0
+    stands for the limit b -> 0- or b -> 0+, ordered between the negative
+    and the positive atoms."""
+
     order: CompareOrder
     witness: Optional[float] = None
 
 
-def _tail_integrals(mu: MixingMeasure, grid: np.ndarray) -> np.ndarray:
-    """Integral of (a - b)/a over [b, +inf] (b > 0) or [-inf, b] (b < 0),
-    for every b of the grid, as W - b S: the sums of w and of w/a over a
-    suffix (b > 0) or prefix (b < 0) of the sorted atoms.
+def _tail_integrals(mu: MixingMeasure, b: np.ndarray) -> np.ndarray:
+    """Integral of (a - b)/a over (b, +inf] (b >= 0) or [-inf, b) (b <= 0),
+    for every b, as W - b S: the sums of w and of w/a over a suffix or
+    prefix of the sorted atoms. A signed zero b is the limit b -> 0+ or
+    b -> 0-, where the integral is the weight strictly above or below 0.
 
     Atoms at the matching infinity add w to W and 0 to S; an atom at a = b
-    adds 0 either way. Memory is linear in atoms plus grid points.
+    would add 0. S is summed in long double, where w/a of a subnormal atom
+    stays finite. Memory is linear in atoms plus points.
     """
     a, w = mu.locations, mu.weights
     # an atom at a = 0 lies in no tail; its w/a is set to 0, never used
-    terms = np.array((w, np.divide(w, a, out=np.zeros_like(w), where=a != 0.0)))
-    prefix, suffix = np.zeros((2, 2, a.size + 1))  # column k: atoms [:k], [k:]
+    terms = np.array((w, np.divide(w, a, out=np.zeros(a.size, np.longdouble),
+                                   where=a != 0.0, dtype=np.longdouble)))
+    prefix, suffix = np.zeros((2, 2, a.size + 1), np.longdouble)  # column k: atoms [:k], [k:]
     np.cumsum(terms, axis=1, out=prefix[:, 1:])
     np.cumsum(terms[:, ::-1], axis=1, out=suffix[:, -2::-1])
-    tail = np.where(grid > 0, suffix[:, np.searchsorted(a, grid, side="left")],
-                    prefix[:, np.searchsorted(a, grid, side="right")])
-    return tail[0] - grid * tail[1]
+    tail = np.where(np.signbit(b), prefix[:, np.searchsorted(a, b, side="left")],
+                    suffix[:, np.searchsorted(a, b, side="right")])
+    return tail[0] - b * tail[1]
 
 
-def default_compare_grid(mu1: MixingMeasure, mu2: MixingMeasure) -> np.ndarray:
-    """Finite atom locations of both measures, midpoints, and +-1e-6.
-
-    Both integrals are piecewise linear in b between consecutive atoms, so
-    this grid decides the comparison exactly for atomic measures.
-    """
-    atoms = np.concatenate((mu1.locations, mu2.locations))
-    atoms = np.unique(atoms[np.isfinite(atoms) & (atoms != 0.0)])
-    grid = [-1e-6, 1e-6]
-    for side in (atoms[atoms > 0], atoms[atoms < 0]):
-        grid.extend(side)
-        grid.extend((side[1:] + side[:-1]) / 2.0)
-    return np.unique(np.asarray(grid, dtype=np.float64))
-
-
-def compare(
-    mu1: MixingMeasure,
-    mu2: MixingMeasure,
-    b_grid: Optional[Sequence[float]] = None,
-) -> CompareResult:
+def compare(mu1: MixingMeasure, mu2: MixingMeasure) -> CompareResult:
     """Decide whether mu1's statistic is everywhere <= mu2's (LE), >= (GE),
     equal (EQ), or neither (with a witness b where the LE test fails).
 
     LE holds iff for every b > 0 the [b, inf] tail integral of (a-b)/a under
     mu1 is <= the same under mu2, and for every b < 0 the [-inf, b] integral
-    is >=.
+    is >=. On each side of 0 the difference of the two integrals is
+    continuous and linear between consecutive atoms and constant past the
+    last, so the finite nonzero atoms and the limits b -> 0+- decide the
+    comparison exactly, at every scale.
     """
-    if b_grid is None:
-        grid = default_compare_grid(mu1, mu2)
-    else:
-        grid = np.asarray(list(b_grid), dtype=np.float64)
-        if grid.size == 0:
-            raise EmptyGrid("b_grid must be nonempty")
-        if np.any(grid == 0.0) or not np.isfinite(grid).all():
-            raise EmptyGrid("b_grid entries must be nonzero finite numbers")
-    i1, i2 = _tail_integrals(mu1, grid), _tail_integrals(mu2, grid)
-    pos = grid > 0
-    le_fails = np.where(pos, i1 > i2 + _WEIGHT_TOL, i1 < i2 - _WEIGHT_TOL)
-    ge_fails = np.where(pos, i2 > i1 + _WEIGHT_TOL, i2 < i1 - _WEIGHT_TOL)
-    le, ge = not le_fails.any(), not ge_fails.any()
+    atoms = np.concatenate((mu1.locations, mu2.locations))
+    atoms = np.unique(atoms[np.isfinite(atoms) & (atoms != 0.0)])
+    b = np.insert(atoms, np.searchsorted(atoms, 0.0), (-0.0, 0.0))
+    # mu1 - mu2 signed so that LE fails where it is positive
+    gap = np.where(np.signbit(b), -1, 1) * (_tail_integrals(mu1, b) - _tail_integrals(mu2, b))
+    le_fails = gap > _WEIGHT_TOL
+    le, ge = not le_fails.any(), not (gap < -_WEIGHT_TOL).any()
     if le and ge:
         return CompareResult(CompareOrder.EQ)
     if le:
         return CompareResult(CompareOrder.LE)
     if ge:
         return CompareResult(CompareOrder.GE)
-    # the witness is the first b, in grid order, where the LE test fails
-    return CompareResult(CompareOrder.INCOMPARABLE, float(grid[np.argmax(le_fails)]))
+    return CompareResult(CompareOrder.INCOMPARABLE, float(b[np.argmax(le_fails)]))
 
 
 def extend_from_nonneg(

@@ -120,7 +120,22 @@ class TestVerdictsAndCodes:
 
     def test_compare(self, capsys, files):
         code, obj = run_json(capsys, ["compare", files["m2"], files["m13"]])
-        assert code == 0 and obj["order"] == "le"
+        assert code == 0 and obj == {"order": "le", "witness": None}
+
+    @pytest.mark.parametrize("atoms1, atoms2, code, out", [
+        # read le (exit 0) while the +-1e-6 stand-ins took the limits b -> 0+-
+        ([[1e-7, 1.0]], [[0, 0.5], ["inf", 0.5]], 1, {"order": "incomparable", "witness": 0.0}),
+        ([[0, 0.5 - 1e-9], [1, 0.5 + 1e-9]], [[0, 0.5], [2, 0.5]], 1,
+         {"order": "incomparable", "witness": 0.0}),
+        # w/a of the subnormal atom overflowed the doubles with a warning
+        ([[1e-310, 0.5], [1, 0.5]], [[1, 1.0]], 0, {"order": "le", "witness": None}),
+    ], ids=["delta-1e-7", "weight-1e-9", "subnormal-atom"])
+    def test_compare_small_indices(self, capsys, files, atoms1, atoms2, code, out):
+        paths = []
+        for name, atoms in (("mu1", atoms1), ("mu2", atoms2)):
+            paths.append(files["tmp"] / f"{name}.json")
+            paths[-1].write_text(json.dumps({"atoms": [{"a": a, "w": w} for a, w in atoms]}))
+        assert run_json(capsys, ["compare", *map(str, paths)]) == (code, out)
 
     def test_large_n(self, capsys, files):
         code, obj = run_json(
@@ -225,7 +240,7 @@ class TestVerdictsAndCodes:
         assert captured.err.startswith(f"error: {argv[-2]} out of range") and captured.out == ""
 
     @pytest.mark.parametrize("argv, flag", [
-        (["compare", "m2", "m13", "--b-grid="], "--b-grid"),  # used to compare on the default grid
+        (["compare", "", "m13"], "measure1"),
         (["cdf-csv", "X", "Y", "--add="], "--add"),  # used to add no catalyst
         (["kprofile", "--dist", "X", "--out="], "--out"),  # used to write to stdout
         (["phi", "--measure=", "--dist", "X"], "--measure"),
@@ -383,15 +398,6 @@ class TestVerdictsAndCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
-    def test_compare_nan_grid_is_input_error(self, capsys, files):
-        # nan and -inf used to print "order": "eq" for two different
-        # measures and exit 0; inf divided inf by inf in the tail integral
-        for entry in ("nan", "inf", "-inf"):
-            argv = ["compare", files["m2"], files["m13"], f"--b-grid={entry}"]
-            assert cli.run(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.err.startswith("error:") and captured.out == ""
-
     def test_indiff_pair_singular_matrix_is_error(self, capsys):
         # exp(-1e-300 j) rounds to 1, so the Vandermonde matrix is singular;
         # it used to end in an uncaught LinAlgError traceback
@@ -412,7 +418,7 @@ SURFACE = {
     "phi": "--measure --dist",
     "kprofile": "--dist --n-grid",
     "classify": "--measure --kind",
-    "compare": "measure1 measure2 --b-grid",
+    "compare": "measure1 measure2",
     "dominance": "dist1 dist2 --order --tol",
     "catalyst": "dist1 dist2 --order --margin",
     "large-n": "dist1 dist2 --n-max",

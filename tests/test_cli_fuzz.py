@@ -112,7 +112,7 @@ def malformed_text(good):
 
 
 def option_list():
-    """Text for --values, --rates and --b-grid: a few numbers or junk."""
+    """Text for --values and --rates: a few numbers or junk."""
     return st.one_of(
         st.lists(NUMBER, min_size=1, max_size=4).map(lambda v: ",".join(map(repr, v))),
         st.sampled_from(["nan", "1,nan", "inf", "-inf,1", "", ",", "1,,2", "x", "1e400"]),
@@ -160,9 +160,7 @@ def _argv(draw, workdir, command):
         (m,) = _files(draw, workdir, [measures])
         return ["classify", "--measure", m, "--kind", draw(st.sampled_from(["risk", "betweenness"]))]
     if command == "compare":
-        m1, m2 = _files(draw, workdir, [measures, measures])
-        grid = draw(st.none() | option_list())
-        return ["compare", m1, m2] + ([] if grid is None else [f"--b-grid={grid}"])
+        return ["compare", *_files(draw, workdir, [measures, measures])]
     if command == "dominance":
         d1, d2 = _files(draw, workdir, [dists, dists])
         return ["dominance", d1, d2, "--order", draw(st.sampled_from(["1", "2"]))]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,6 @@ from mastat import dist, mas
 from mastat.errors import (
     BadSupport,
     EmptyFamily,
-    EmptyGrid,
     InfiniteAtom,
     InputError,
     MassNotOne,
@@ -194,42 +194,88 @@ class TestCompare:
                 d = random_dist(rng)
                 assert mas.evaluate(mu1, d) <= mas.evaluate(mu2, d) + 1e-10
 
-    def test_empty_grid(self):
-        with pytest.raises(EmptyGrid):
-            mas.compare(mas.point_mass(1.0), mas.point_mass(2.0), [])
-        with pytest.raises(EmptyGrid):
-            mas.compare(mas.point_mass(1.0), mas.point_mass(2.0), [0.0])
-        for entry in (np.nan, np.inf, -np.inf):
-            with pytest.raises(EmptyGrid):
-                mas.compare(mas.point_mass(1.0), mas.point_mass(2.0), [1.0, entry])
-
     def test_same_order_and_witness_as_per_b_loop(self):
         rng = np.random.default_rng(11)
-
-        def measure():
-            n = int(rng.integers(1, 6))
-            lattice = rng.random() < 0.3
-            locs = rng.integers(-3, 4, n).astype(float) if lattice else rng.uniform(-3, 3, n)
-            if rng.random() < 0.4:
-                locs[0 if rng.random() < 0.5 else -1] = -np.inf if rng.random() < 0.5 else np.inf
-            return mas.make_measure(locs, rng.dirichlet(np.ones(n)))
-
         orders = set()
         for _ in range(2000):
-            mu1 = measure()
-            mu2 = mu1 if rng.random() < 0.1 else measure()
-            grid = None
-            if rng.random() < 0.3:  # a caller's grid, unsorted, on and off the atoms
-                grid = np.concatenate((rng.uniform(-4, 4, 5), rng.integers(1, 4, 2)))
-            got = mas.compare(mu1, mu2, grid)
-            assert got == _compare_per_b(mu1, mu2, grid)
+            mu1 = _measure(rng)
+            mu2 = mu1 if rng.random() < 0.1 else _measure(rng)
+            got, want = mas.compare(mu1, mu2), _compare_per_b(mu1, mu2)
+            assert got == want
+            assert got.witness is None or np.signbit(got.witness) == np.signbit(want.witness)
             orders.add(got.order)
             # W - b S sums in another order than a dot per b; every term
             # lies in [0, 1) and the weights sum to 1
-            b = mas.default_compare_grid(mu1, mu2) if grid is None else grid
+            b = np.array(_breakpoints(mu1, mu2))
             loop = [_tail_integral_per_b(mu1, v) for v in b]
             assert np.abs(mas._tail_integrals(mu1, b) - loop).max() <= 1e-14
         assert orders == set(mas.CompareOrder)
+
+    def test_scale_free(self):
+        # atoms times 2**k: the same order, the witness times 2**k; the
+        # +-1e-6 stand-ins for b -> 0+- changed the order from k = -20 down
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            mu1 = _measure(rng)
+            mu2 = mu1 if rng.random() < 0.1 else _measure(rng)
+            want = mas.compare(mu1, mu2)
+            for k in range(-60, 61, 10):
+                got = mas.compare(*(mas.make_measure(mu.locations * 2.0**k, mu.weights)
+                                    for mu in (mu1, mu2)))
+                assert got.order is want.order, k
+                if want.witness is not None:
+                    assert got.witness == want.witness * 2.0**k, k
+                    assert np.signbit(got.witness) == np.signbit(want.witness)
+
+    @pytest.mark.parametrize("mu1, mu2, above, below", [
+        # an index of 1e-7 is an Arrow-Pratt coefficient for amounts in
+        # the millions: 1e-6 stood in for b -> 0+ and read LE
+        (([1e-7], [1.0]), ([0.0, np.inf], [0.5, 0.5]),
+         ([-1e9, 0.0], [0.5, 0.5]), ([0.0, 1.0], [0.5, 0.5])),
+        (([0.0, 1.0], [0.5 - 1e-9, 0.5 + 1e-9]), ([0.0, 2.0], [0.5, 0.5]),
+         ([0.0, 1e10], [0.999, 0.001]), ([0.0, 1.0], [0.5, 0.5])),
+    ], ids=["delta-1e-7", "weight-1e-9"])
+    def test_failure_only_in_the_limit_is_incomparable(self, mu1, mu2, above, below):
+        mu1, mu2 = mas.make_measure(*mu1), mas.make_measure(*mu2)
+        above, below = dist.make(*above), dist.make(*below)
+        assert mas.evaluate(mu1, above) > mas.evaluate(mu2, above)
+        assert mas.evaluate(mu1, below) < mas.evaluate(mu2, below)
+        res = mas.compare(mu1, mu2)
+        assert res.order is mas.CompareOrder.INCOMPARABLE
+        assert res.witness == 0.0 and not np.signbit(res.witness)  # b -> 0+
+        res = mas.compare(mu2, mu1)
+        assert res.order is mas.CompareOrder.INCOMPARABLE and res.witness > 0
+
+    def test_limit_from_below_is_negative_zero(self):
+        # the first pair above, mirrored: a -> -a and the sides swapped
+        res = mas.compare(mas.make_measure([-np.inf, 0.0], [0.5, 0.5]), mas.point_mass(-1e-7))
+        assert res.order is mas.CompareOrder.INCOMPARABLE
+        assert res.witness == 0.0 and np.signbit(res.witness)  # b -> 0-
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-6, 1e-7])
+    def test_same_order_as_a_dense_check(self, scale):
+        # the dense check takes 400 indices per side from 1e-12 s to 5 s,
+        # plus the atoms; the +-1e-6 stand-ins disagreed with it on 5, 29
+        # and 65 of these pairs
+        rng = np.random.default_rng(14)
+        ends = np.geomspace(1e-12 * scale, 5.0 * scale, 400)
+        for _ in range(600):
+            mu1, mu2 = (mas.make_measure(m.locations * scale, m.weights)
+                        for m in (_measure(rng), _measure(rng)))
+            atoms = np.concatenate((mu1.locations, mu2.locations))
+            b = np.concatenate((-ends, ends, atoms[np.isfinite(atoms) & (atoms != 0.0)]))
+            gap = np.sign(b) * (_tail_integrals_dense(mu1, b) - _tail_integrals_dense(mu2, b))
+            le, ge = (gap <= 1e-12).all(), (gap >= -1e-12).all()
+            want = {(True, True): mas.CompareOrder.EQ, (True, False): mas.CompareOrder.LE,
+                    (False, True): mas.CompareOrder.GE}.get((le, ge), mas.CompareOrder.INCOMPARABLE)
+            assert mas.compare(mu1, mu2).order is want
+
+    def test_subnormal_atom_keeps_the_integrals_finite(self):
+        # w/a passes the largest double for atoms below about 5.6e-309
+        for a in (1e-310, 5e-324):
+            mu1 = mas.make_measure([a, 1.0], [0.5, 0.5])
+            assert mas.compare(mu1, mas.point_mass(1.0)).order is mas.CompareOrder.LE
+            assert np.isfinite(mas._tail_integrals(mu1, np.array([a, 1.0]))).all()
 
     def test_memory_is_linear_in_the_atoms(self):
         # a (grid x atoms) table peaked at 69 MB at 1,000 atoms; the prefix
@@ -246,27 +292,58 @@ class TestCompare:
                 tracemalloc.stop()
             assert peak < 16e6
             if n == 1_000:
-                assert got == _compare_per_b(mu1, mu2, None)
+                assert got == _compare_per_b(mu1, mu2)
+
+
+def _measure(rng):
+    """1-5 atoms on [-3, 3], on the integers three times in ten; an end
+    atom moves to -inf or +inf four times in ten."""
+    n = int(rng.integers(1, 6))
+    lattice = rng.random() < 0.3
+    locs = rng.integers(-3, 4, n).astype(float) if lattice else rng.uniform(-3, 3, n)
+    if rng.random() < 0.4:
+        locs[0 if rng.random() < 0.5 else -1] = -np.inf if rng.random() < 0.5 else np.inf
+    return mas.make_measure(locs, rng.dirichlet(np.ones(n)))
+
+
+def _tail_integrals_dense(mu, b):
+    """The tail integrals at every nonzero b, as a (b x atoms) table."""
+    a, w = mu.locations, mu.weights
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(np.isinf(a), 1.0, 1.0 - b[:, None] / a)
+    inside = np.where(b[:, None] > 0, a >= b[:, None], a <= b[:, None])
+    return np.where(inside, terms, 0.0) @ w
+
+
+def _breakpoints(mu1, mu2):
+    """The finite nonzero atoms in increasing order, with -0.0 and 0.0 (the
+    limits b -> 0- and b -> 0+) between the negative and the positive."""
+    atoms = sorted({float(a) for mu in (mu1, mu2) for a in mu.locations
+                    if a != 0.0 and math.isfinite(a)})
+    neg = [a for a in atoms if a < 0]
+    return neg + [-0.0, 0.0] + atoms[len(neg):]
 
 
 def _tail_integral_per_b(mu, b):
     locs, wts = mu.locations, mu.weights
+    if b == 0.0:  # the limit: the weight strictly below or above 0
+        return float(wts[locs < 0].sum() if math.copysign(1.0, b) < 0 else wts[locs > 0].sum())
     sel = locs >= b if b > 0 else locs <= b
     vals = np.where(np.isinf(locs[sel]), 1.0, 1.0 - b / locs[sel])
     return float(np.dot(wts[sel], vals))
 
 
-def _compare_per_b(mu1, mu2, b_grid):
+def _compare_per_b(mu1, mu2):
     """mas.compare as first written: a Python loop over b, two tail
-    integrals per point."""
+    integrals per point, here on the atoms and the limits b -> 0+-."""
     tail = _tail_integral_per_b
-    grid = mas.default_compare_grid(mu1, mu2) if b_grid is None else b_grid
     le = ge = True
     witness = None
-    for b in grid:
+    for b in _breakpoints(mu1, mu2):
         i1, i2 = tail(mu1, b), tail(mu2, b)
-        le_fails = i1 > i2 + 1e-12 if b > 0 else i1 < i2 - 1e-12
-        ge_fails = i2 > i1 + 1e-12 if b > 0 else i2 < i1 - 1e-12
+        pos = math.copysign(1.0, b) > 0
+        le_fails = i1 > i2 + 1e-12 if pos else i1 < i2 - 1e-12
+        ge_fails = i2 > i1 + 1e-12 if pos else i2 < i1 - 1e-12
         if le_fails and witness is None:
             witness = float(b)
         le, ge = le and not le_fails, ge and not ge_fails
