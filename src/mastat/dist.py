@@ -345,6 +345,8 @@ def discretize_uniform(a: float, b: float, step: float) -> FiniteDist:
     if not (a < b and 0 < step <= (b - a) * (1 + 1e-12) and math.isfinite((b - a) / step)):
         raise BadInterval(f"need finite a < b and 0 < step <= b - a, got {(a, b, step)}")
     n = int(math.ceil((b - a) / step - 1e-12))
+    if n > SUPPORT_CAP:
+        raise BadInterval(f"step {step} on [{a}, {b}] needs more than {SUPPORT_CAP} cells")
     h = (b - a) / n
     mids = a + (np.arange(n) + 0.5) * h
     return _canonical(mids, np.full(n, 1.0 / n))
@@ -358,6 +360,8 @@ def discretize_trunc_gaussian(v: float, t: float, step: float) -> FiniteDist:
     if not (v > 0 and t > 0 and 0 < step <= t / 4 and math.isfinite(2 * t / step)):
         raise BadParams(f"need V > 0, finite T > 0, 0 < step <= T/4, got {(v, t, step)}")
     n = int(math.ceil(2 * t / step - 1e-12))
+    if n > SUPPORT_CAP:
+        raise BadParams(f"step {step} on [-{t}, {t}] needs more than {SUPPORT_CAP} cells")
     # cell midpoints at integer or half-integer multiples of the cell width
     sup = (np.arange(n) - (n - 1) / 2) * (2 * t / n)
     w = np.exp(-(sup * sup) / (2.0 * v))

@@ -87,6 +87,9 @@ _CONV_PER_BREAKPOINT = 0.5
 #: catalyst tail mass (times the t-span, at order 2) left out of the bound
 _TAIL_MASS = 1e-20
 
+#: table entries ((laws + rows) * |U|) one _strict_fosd_rows chunk may hold
+_ROWS_CELLS = 1 << 14
+
 _EPS = np.finfo(np.float64).eps
 _EPS_LD = float(np.finfo(np.longdouble).eps)
 
@@ -133,6 +136,62 @@ def fosd(d1: FiniteDist, d2: FiniteDist, tol: float = 0.0) -> FosdResult:
     k1 = np.searchsorted(d1.support, d2.support, side="right")
     strict = bool(np.any(np.maximum(c2[1:] - c1[k1], s1[k1] - s2[1:]) > tol))
     return FosdResult(True, strict, None, float(gap.min()))
+
+
+def _strict_fosd_rows(laws, first, second, tol: float) -> np.ndarray:
+    """Row q is True iff laws[first[q]] strictly first-order dominates
+    laws[second[q]], for tol >= 0: fosd(...).dominates and .strict. first
+    and second are integer arrays of one length, at least 1.
+
+    Each row is decided on U, the union of the supports of the laws that
+    its chunk of rows uses, from the same cdf_steps and survival_steps
+    entries as fosd: d1 dominates d2 when every F2 - F1 and S1 - S2 on U
+    is >= -tol, strictly when one of them is > tol. fosd's lemma holds on
+    any superset of both supports, in floating point too, since the step
+    tables are monotone and so is subtracting a fixed value. At a point of
+    U that is not an atom of d1, F1 and S1 keep their values while F2 can
+    only rise and S2 only fall, so each form is at least its value at the
+    point before, or at least 0 below min d1 (F1 = 0, S1 = 1): the check
+    on U fails iff it fails at an atom of d1. At a point that is not an
+    atom of d2, each form is at most its value at the point before, or at
+    most 0 below min d2 (F2 = 0, S2 = 1): a form passes tol somewhere on
+    U iff it does at an atom of d2.
+
+    The tables hold (laws used + rows) * |U| entries for each form. Past
+    _ROWS_CELLS the rows are decided in chunks of at most
+    _ROWS_CELLS / (3 |U|) rows, each on its own union, which is no larger,
+    and each row uses at most two laws; so only a single row, whose two
+    laws alone make its U, can pass the cap.
+    """
+    used = np.zeros(len(laws), dtype=bool)
+    used[first] = used[second] = True
+    sub = [laws[i] for i in np.flatnonzero(used).tolist()]
+    support = np.concatenate([d.support for d in sub])
+    u = np.unique(support)
+    if first.size > 1 and (len(sub) + first.size) * u.size > _ROWS_CELLS:
+        step = max(1, _ROWS_CELLS // (3 * u.size))
+        return np.concatenate([
+            _strict_fosd_rows(laws, first[s:s + step], second[s:s + step], tol)
+            for s in range(0, first.size, step)
+        ])
+    # k[j, l]: the atoms of sub[l] at or below u[j], offset to index the
+    # concatenated step tables, whose entry 0 of each law is below its support
+    sizes = np.array([d.n_atoms for d in sub])
+    k = np.zeros((u.size, len(sub)), dtype=np.intp)
+    k[np.searchsorted(u, support), np.repeat(np.arange(len(sub)), sizes)] = 1
+    np.cumsum(k, axis=0, out=k)
+    k += np.cumsum(sizes + 1) - sizes - 1
+    # column l: sub[l]'s cdf on U, then minus its survival function on U, so
+    # that one difference of columns gives F2 - F1 and S1 - S2, the same
+    # bytes; a row per point of U keeps the reductions below along rows
+    steps = np.concatenate([d.cdf_steps for d in sub] + [d.survival_steps for d in sub])
+    half = steps.size // 2
+    np.negative(steps[half:], out=steps[half:])
+    table = steps[np.concatenate((k, k + half))]
+    column = np.cumsum(used) - 1  # laws[i] is sub[column[i]]
+    gap = np.take(table, column[second], axis=1)
+    gap -= np.take(table, column[first], axis=1)
+    return (gap.min(axis=0) >= -tol) & (gap.max(axis=0) > tol)
 
 
 def sosd(d1: FiniteDist, d2: FiniteDist, tol: float = 0.0) -> SosdResult:

@@ -7,9 +7,15 @@ time T and is valued u(x) * exp(-r * value(mu, T)). Aggregating exponential
 discounters with rates r_i under Pareto weights lambda yields the social
 statistic sum_i lambda_i K_{-r_i} and the harmonic social rate
 1/r = sum_i lambda_i / r_i.
+
+The violation search decides the candidate quadruples in canonical order,
+in batches: dominance._strict_fosd_rows reads the convolved laws of a
+batch on the union of their supports, which gives fosd's verdict (the
+proof is in its docstring). A batch starts as one outer pair's quadruples
+and doubles up to _BATCH, and its tables are chunked at
+dominance._ROWS_CELLS entries, so max_candidates never sets their size.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -19,8 +25,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dist import FiniteDist, convolve, make, moments
-from .dominance import fosd
+from .dist import SUPPORT_CAP, FiniteDist, convolve, make, moments
+from .dominance import _strict_fosd_rows
 from .errors import (
     BadParams,
     BadSupport,
@@ -28,6 +34,7 @@ from .errors import (
     IllConditioned,
     InfeasibleC,
     InputError,
+    MasError,
     NegativeTime,
     NonpositivePrize,
     WeightMismatch,
@@ -326,6 +333,8 @@ class GambleGrid:
         # written so that a zero or NaN step fails before the division
         if not 0 < step <= 1 or abs(round(1.0 / step) * step - 1.0) > 1e-12:
             raise BadParams("prob_step must divide 1")
+        if round(1.0 / step) > SUPPORT_CAP:
+            raise BadParams(f"1 / prob_step must be at most {SUPPORT_CAP}")
         parts = _compositions(round(1.0 / step), len(self.values), self.max_support)
         return [make([self.values[i] for i in where], [c * step for c in sizes])
                 for where, sizes in parts]
@@ -365,6 +374,32 @@ def _ranked(values: np.ndarray) -> Iterator[Tuple[int, int]]:
             yield i, j
 
 
+#: the most quadruples one batch of the violation search decides: it
+#: bounds the batch's lists, and on small grids (|U| = 7 on criterion 12's)
+#: its tables, to about 60 KB each
+_BATCH = 1 << 9
+
+
+class _PairSums(dict):
+    """Place in `laws` of the convolution of each gamble pair (i, j),
+    i <= j, convolved on first lookup. A pair whose convolution raises
+    maps to -1, and the first such error is kept in `error`."""
+
+    def __init__(self, gambles):
+        super().__init__()
+        self.gambles, self.laws, self.error = gambles, [], None
+
+    def __missing__(self, key):
+        try:
+            law = convolve(self.gambles[key[0]], self.gambles[key[1]])
+        except MasError as exc:
+            self.error = self.error or exc
+            return -1
+        self[key] = len(self.laws)
+        self.laws.append(law)
+        return self[key]
+
+
 def find_framing_violation(
     pref1: Callable[[FiniteDist], float],
     pref2: Callable[[FiniteDist], float],
@@ -389,16 +424,24 @@ def find_framing_violation(
     inner = list(islice(_ranked(v2), budget))
     if not inner:  # else the walk below would visit every outer pair for nothing
         return None
-
-    @functools.lru_cache(maxsize=None)
-    def conv(i, j):
-        return convolve(gambles[i], gambles[j])
-
-    quads = ((i, ip, k, kp) for i, ip in _ranked(v1) for k, kp in inner)
-    for i, ip, k, kp in islice(quads, budget):
-        res = fosd(conv(min(ip, kp), max(ip, kp)), conv(min(i, k), max(i, k)), tol=1e-12)
-        if res.dominates and res.strict:
+    sums = _PairSums(gambles)
+    quads = islice(((i, ip, k, kp) for i, ip in _ranked(v1) for k, kp in inner), budget)
+    size = min(len(inner), _BATCH)  # one outer pair's quadruples, then doubling
+    while batch := list(islice(quads, size)):
+        # the pairs (X', Y') and (X, Y) of each quadruple, in walk order
+        ids = [sums[key] for i, ip, k, kp in batch for key in (
+            (ip, kp) if ip <= kp else (kp, ip), (i, k) if i <= k else (k, i))]
+        if sums.error is not None:  # decide the quadruples before it first
+            batch = batch[: ids.index(-1) // 2]
+        ids = np.array(ids[: 2 * len(batch)], dtype=np.intp)
+        if batch and (hits := np.flatnonzero(
+            _strict_fosd_rows(sums.laws, ids[0::2], ids[1::2], 1e-12)
+        )).size:
+            i, ip, k, kp = batch[hits[0]]
             return (gambles[i], gambles[ip], gambles[k], gambles[kp])
+        if sums.error is not None:
+            raise sums.error
+        size = min(2 * size, _BATCH)
     return None
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -221,6 +222,17 @@ class TestVerdictsAndCodes:
         assert cli.run(["phi", "--measure", files["m0"], "--dist", "/nope.json"]) == 2
         assert cli.run(["dominance", files["X"]]) == 2  # missing argument
         assert cli.run(["dominance", files["X"], files["Y"], "--tol", "-1"]) == 2
+
+    def test_prob_step_past_the_support_cap(self, capsys):
+        # 1e-300 divides 1, and the grid walk used to loop up to 10^300
+        argv = ["violation-search", "--pref1", "median", "--pref2", "median",
+                "--values=0,1", "--prob-step", "1e-300"]
+        start = time.monotonic()
+        assert cli.run(argv) == 2
+        assert time.monotonic() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == "error: 1 / prob_step must be at most 1048576\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["kprofile", "--dist", "X", "--n-grid", "2"],

@@ -481,6 +481,9 @@ def _trunc_gaussian_halves(v, t, step):
         (lambda: dist.discretize_uniform(-math.inf, 0.0, 1.0), BadInterval),
         (lambda: dist.discretize_uniform(0.0, math.inf, 1.0), BadInterval),
         (lambda: dist.discretize_trunc_gaussian(1.0, math.inf, 1.0), BadParams),
+        # more cells than SUPPORT_CAP (numpy refused to allocate them)
+        (lambda: dist.discretize_uniform(0.0, 1.0, 1e-300), BadInterval),
+        (lambda: dist.discretize_trunc_gaussian(1.0, 1.0, 1e-300), BadParams),
         (lambda: mas.evaluate_gaussian(mas.point_mass(1.0), 0.0, math.nan), BadSupport),
         (lambda: mas.evaluate_gaussian(mas.point_mass(1.0), math.nan, 1.0), BadSupport),
         (lambda: mas.extend_integer_approx(mas.statistic_mean, dist.make([0.5], [1.0]), 2.5),

@@ -105,6 +105,69 @@ class TestFosdSingleSearch:
         assert px.n_atoms == 561
 
 
+class TestStrictFosdRows:
+    """_strict_fosd_rows decides each row on the union of the supports of
+    the laws its chunk uses; every row must be fosd's strict verdict."""
+
+    @staticmethod
+    def _laws():
+        rng = np.random.default_rng(77)
+        laws = [seeded_law(rng, int(rng.integers(1, 6)), kind, scale)
+                for kind, scale in (("random", 1.0), ("lattice", 0.1)) for _ in range(40)]
+        # the same lattice atoms under other masses
+        laws += [dist.make(d.support, rng.dirichlet(np.ones(d.n_atoms))) for d in laws[40:60]]
+        # one ulp either way, and 1e-9 either way
+        for d in laws[:10] + laws[40:50]:
+            for way in (-np.inf, np.inf):
+                laws.append(dist.FiniteDist(np.nextafter(d.support, way), d.probs, d.log_probs))
+            laws += [dist.shift(d, 1e-9), dist.shift(d, -1e-9)]
+        laws += [dist.make([0.0, 1.5e-9], [0.5, 0.5]), dist.make([0.0], [1.0]),
+                 dist.make([1e-9], [1.0]), dist.make([-1e-9, 1.5e-9], [0.25, 0.75])]
+        # tail masses that only S1 - S2 (upper) or F2 - F1 (lower) resolves
+        laws += [dist.make([0.0, top], [1.0, 1e-18]) for top in (1.0, 2.0)]
+        laws += [dist.make([bottom, 0.0], [1e-18, 1.0]) for bottom in (-1.0, -2.0)]
+        return laws
+
+    def test_rows_match_fosd(self, monkeypatch):
+        laws = self._laws()
+        n = len(laws)
+        first, second = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        assert first.size >= 20_000
+        for tol in (0.0, 1e-12):
+            want = np.array([
+                (res := dominance.fosd(laws[a], laws[b], tol)).dominates and res.strict
+                for a, b in zip(first.tolist(), second.tolist())
+            ])
+            assert 1000 < want.sum() < want.size - 1000
+            # all rows at once, so in chunks of the cell cap; then in small
+            # batches, each on its own union
+            got = dominance._strict_fosd_rows(laws, first, second, tol)
+            assert got.dtype == bool and np.array_equal(got, want)
+            for s in range(0, first.size, 97):
+                got = dominance._strict_fosd_rows(laws, first[s:s + 97], second[s:s + 97], tol)
+                assert np.array_equal(got, want[s:s + 97])
+            # one row a chunk
+            monkeypatch.setattr(dominance, "_ROWS_CELLS", 0)
+            got = dominance._strict_fosd_rows(laws, first[:3000], second[:3000], tol)
+            assert np.array_equal(got, want[:3000])
+            monkeypatch.undo()
+
+    def test_chunks_stay_under_the_cell_cap(self, monkeypatch):
+        laws = self._laws()
+        n = len(laws)
+        first, second = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        cells = []
+        real_take = np.take
+
+        def take(table, columns, axis):
+            cells.append(table.shape[0] * (table.shape[1] + columns.size))
+            return real_take(table, columns, axis=axis)
+
+        monkeypatch.setattr(dominance.np, "take", take)
+        dominance._strict_fosd_rows(laws, first, second, 1e-12)
+        assert len(cells) > 2 and max(cells) <= 2 * dominance._ROWS_CELLS
+
+
 class TestSosd:
     def test_mean_preserving_spread(self):
         spread = dist.make([-1, 1], [0.5, 0.5])

@@ -425,6 +425,13 @@ class TestGambleGrid:
             assert g.support.tolist() == w.support.tolist()
             assert g.probs.tolist() == w.probs.tolist()
 
+    def test_prob_step_up_to_the_support_cap(self):
+        one = pref.GambleGrid((0.0,), 2.0**-20, 2).gambles()
+        assert len(one) == 1 and one[0].probs.tolist() == [1.0]
+        for step in (2.0**-21, 1e-300):
+            with pytest.raises(BadParams, match="1 / prob_step must be at most 1048576"):
+                pref.GambleGrid((0.0, 1.0), step, 2).gambles()
+
     def test_many_values_walk_only_the_kept_compositions(self):
         # the product walk would visit 5^15 = 3e10 tuples here
         grid = pref.GambleGrid(tuple(float(v) for v in range(15)), 0.25, 2)
@@ -469,27 +476,28 @@ class TestFramingViolation:
         assert quad is not None
 
     def test_quadruple_matches_oracle(self, monkeypatch):
-        """Criterion 12's quadruple is the same bytes when the search runs
-        on the d1-major convolve and the four-search fosd."""
+        """Criterion 12's quadruple is the same bytes as the quadruple-at-a-
+        time search run on the d1-major convolve and the four-search fosd."""
         quad = pref.find_framing_violation(pref.median, pref.median, self.GRID, 10**5)
-        monkeypatch.setattr(pref, "convolve", convolve_d1_major)
-        monkeypatch.setattr(pref, "fosd", fosd_four_searches)
-        want = pref.find_framing_violation(pref.median, pref.median, self.GRID, 10**5)
+        monkeypatch.setattr(dist, "convolve", convolve_d1_major)
+        monkeypatch.setattr(dominance, "fosd", fosd_four_searches)
+        want = _search_by_pair_lists(pref.median, pref.median, self.GRID, 10**5)
         assert quad is not None and want is not None
         assert all(same_bytes(a, b) for a, b in zip(quad, want))
 
     def test_count_matches_the_pairs_searched(self, monkeypatch):
-        compared = []
+        decided = []
 
-        def never(d1, d2, tol=0.0):
-            compared.append(1)
-            return fosd_four_searches(d1, d1, tol)  # weak, never strict
+        def never(laws, first, second, tol):
+            decided.append(len(first))
+            return np.zeros(len(first), dtype=bool)
 
-        monkeypatch.setattr(pref, "fosd", never)
+        monkeypatch.setattr(pref, "_strict_fosd_rows", never)
         grid = pref.GambleGrid((-1.0, 0.0, 1.0), 0.25, 2)
         mean_var = pref.preference_mean_variance(1.0)
         assert pref.find_framing_violation(pref.median, mean_var, grid, 10**6) is None
-        assert len(compared) == pref.count_candidates(pref.median, mean_var, grid) > 0
+        assert sum(decided) == pref.count_candidates(pref.median, mean_var, grid) > 0
+        assert max(decided) <= pref._BATCH < sum(decided)
 
     def test_budget_respected(self):
         assert (
@@ -542,6 +550,67 @@ class TestFramingViolation:
             if got is not None:
                 assert all(same_bytes(a, b) for a, b in zip(got, want))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_grids_match_pair_lists(self, seed):
+        """Float grids with two values 1e-10 apart, whose sums snap-merge,
+        under median, mean-variance and random-measure preferences."""
+        rng = np.random.default_rng(2000 + seed)
+        values = rng.uniform(-2.0, 2.0, 3).tolist()
+        values.append(values[0] + 1e-10)
+        step, max_support = ((0.5, 2), (1 / 3, 3))[seed % 2]
+        grid = pref.GambleGrid(tuple(values), step, max_support)
+        stat = pref.preference_mas(random_measure(rng))
+        mean_var = pref.preference_mean_variance(float(rng.uniform(0.1, 2.0)))
+        prefs = ((pref.median, pref.median), (mas.statistic_mean, mean_var),
+                 (stat, stat), (stat, pref.median))
+        for p1, p2 in prefs:
+            for budget in (0, 1, 10, 100, 1000, 10**4, 10**5):
+                got = pref.find_framing_violation(p1, p2, grid, budget)
+                want = _search_by_pair_lists(p1, p2, grid, budget)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert all(same_bytes(a, b) for a, b in zip(got, want))
+
+    def test_convolution_error_after_a_hit(self, monkeypatch):
+        """A batch whose later pair sums overflow still returns the hit
+        found before them, and raises where the walk first meets them."""
+        grid = pref.GambleGrid((0.0, 1.0, 2.0, 1e308), 0.5, 2)
+        keys = {g.support.tobytes() + g.probs.tobytes(): n for n, g in enumerate(grid.gambles())}
+        failed = []
+
+        def convolve(d1, d2):
+            try:
+                return dist.convolve(d1, d2)
+            except BadParams:
+                failed.append(1)
+                raise
+
+        rng = np.random.default_rng(31)
+        found_after_error = 0
+        for _ in range(400):
+            t1, t2 = rng.integers(0, 4, len(keys)), rng.integers(0, 4, len(keys))
+            p1 = lambda d: float(t1[keys[d.support.tobytes() + d.probs.tobytes()]])  # noqa: E731
+            p2 = lambda d: float(t2[keys[d.support.tobytes() + d.probs.tobytes()]])  # noqa: E731
+            for budget in (5, 10**5):
+                monkeypatch.setattr(pref, "convolve", convolve)
+                failed.clear()
+                try:
+                    got = pref.find_framing_violation(p1, p2, grid, budget)
+                except BadParams:
+                    got = "raised"
+                monkeypatch.undo()
+                try:
+                    want = _search_by_pair_lists(p1, p2, grid, budget)
+                except BadParams:
+                    want = "raised"
+                if isinstance(got, tuple) and failed:
+                    found_after_error += 1
+                if isinstance(got, tuple) and isinstance(want, tuple):
+                    assert all(same_bytes(a, b) for a, b in zip(got, want))
+                else:
+                    assert got == want
+        assert found_after_error > 0
+
     def test_count_with_nan_and_tied_values(self):
         grid = pref.GambleGrid((-1.0, 0.0, 1.0, 2.0), 0.25, 2)
         tied = lambda d: float(np.round(mas.statistic_mean(d)))  # noqa: E731
@@ -560,6 +629,20 @@ class TestFramingViolation:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_batches_bound_the_search_memory(self):
+        """Criterion 12's MAS search walks all 53,361 quadruples in batches
+        of at most _BATCH; the old one-quadruple walk peaked at 0.29 MB."""
+        grid = pref.GambleGrid((-2.0, -1.0, 0.0, 1.0), 0.25, 2)
+        pm = self.PREFS["mas"][0]
+        assert pref.find_framing_violation(pm, pm, grid, 10**5) is None  # warm numpy
+        tracemalloc.start()
+        try:
+            assert pref.find_framing_violation(pm, pm, grid, 10**5) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_cli_budget_bounds_the_search_memory(self, capsys):
         values = ",".join(map(str, self.BIG.values))
