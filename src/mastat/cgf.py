@@ -41,9 +41,10 @@ nonpositive half) skips k_a_many's masks: its interior takes one _k_direct
 call (a = 0 replaced by its neighbour, a column then overwritten), and
 K_(-inf), K_0 and K_(+inf) come from the moments (lo, mean + 0, hi). The
 bytes are the masked path's, as _k_direct reduces each index's atoms on
-their own, whichever indices share the call. Where |a| scale leaves
-[_SMALL_A, _HUGE_A] on the interior (scale past 1.5e298 at 201 points;
-n_grid <= SUPPORT_CAP keeps |a| >= 3e-6), the grid goes through k_a_many.
+their own, whichever indices share the call. Where |a| scale passes
+_HUGE_A on the interior (scale past 1.5e298 at 201 points), the grid goes
+through k_a_many; it never falls below _SMALL_A there, as scale >= 1 and
+n_grid <= SUPPORT_CAP keep |a| >= 3e-6.
 
 k_dominates certifies K_a(X) > K_a(Y) + margin on the whole index
 interval. On the profile grid, a gap below -_FAIL_TOL * max(1, |x| over
@@ -186,8 +187,8 @@ def profile_grid(n_grid: int = 201) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _grid(n_grid: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """(t, profile_grid(n_grid), regular interior, its min and max |a|): the
+def _grid(n_grid: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(t, profile_grid(n_grid), regular interior, its max |a|): the
     grid is tan(pi t / 2) on an even t-grid over [-1, 1], whose ends t = -1
     and 1 stand for -inf and +inf; the regular interior is the grid without
     its ends, with a = 0 replaced by its right neighbour."""
@@ -202,18 +203,17 @@ def _grid(n_grid: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, float
     grid = np.concatenate(([-np.inf], interior, [np.inf]))
     interior[n_grid // 2] = interior[n_grid // 2 + 1]
     t.flags.writeable = grid.flags.writeable = interior.flags.writeable = False
-    absa = np.abs(interior)
-    return t, grid, interior, float(absa.min()), float(absa.max())
+    return t, grid, interior, float(np.abs(interior).max())
 
 
 def _k_grid(d: FiniteDist, n_grid: int, nonpositive: bool = False) -> np.ndarray:
     """The bytes of k_a_many on the profile grid or its nonpositive half."""
-    _, grid, interior, amin, amax = _grid(n_grid)
+    _, grid, interior, amax = _grid(n_grid)
     m = d.moments
     scale = max(1.0, abs(m.lo), abs(m.hi))
     c = grid.size // 2
     a = grid[: c + 1] if nonpositive else grid
-    if not (amin * scale >= _SMALL_A and amax * scale <= _HUGE_A):
+    if not amax * scale <= _HUGE_A:
         return k_a_many(d, a)
     out = np.empty(a.size)
     out[1:-1] = _k_direct(d, interior[: a.size - 2])

@@ -146,16 +146,11 @@ def _strict_fosd_rows(laws, first, second, tol: float) -> np.ndarray:
     Each row is decided on U, the union of the supports of the laws that
     its chunk of rows uses, from the same cdf_steps and survival_steps
     entries as fosd: d1 dominates d2 when every F2 - F1 and S1 - S2 on U
-    is >= -tol, strictly when one of them is > tol. fosd's lemma holds on
-    any superset of both supports, in floating point too, since the step
-    tables are monotone and so is subtracting a fixed value. At a point of
-    U that is not an atom of d1, F1 and S1 keep their values while F2 can
-    only rise and S2 only fall, so each form is at least its value at the
-    point before, or at least 0 below min d1 (F1 = 0, S1 = 1): the check
-    on U fails iff it fails at an atom of d1. At a point that is not an
-    atom of d2, each form is at most its value at the point before, or at
-    most 0 below min d2 (F2 = 0, S2 = 1): a form passes tol somewhere on
-    U iff it does at an atom of d2.
+    is >= -tol, strictly when one of them is > tol. That is fosd's verdict
+    by the lemma in fosd's docstring, which holds on any superset of both
+    supports: at a point of U in neither support no step table moves. It
+    holds in floating point too, as the step tables are monotone and so is
+    subtracting a fixed value.
 
     The tables hold (laws used + rows) * |U| entries for each form. Past
     _ROWS_CELLS the rows are decided in chunks of at most
@@ -516,7 +511,9 @@ def verify_certificate(
 ) -> float:
     """Re-run the check behind a certificate; returns the worst gap."""
     first = cert.order == "first"
-    if cert.catalyst is _POINT_ZERO:  # X dominates Y: fosd's or sosd's worst gap
+    # X dominates Y: fosd's or sosd's worst gap. A copied certificate holds
+    # a copy of _POINT_ZERO, and a Gaussian rung keeps its centre cells.
+    if cert.catalyst.n_atoms == 1:
         return fosd(dx, dy).min_gap if first else sosd(dx, dy).min_integral
     sweep = fosd_with_catalyst if first else sosd_with_catalyst
     return sweep(dx, dy, cert.catalyst)[0]
@@ -589,7 +586,7 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
     a_cut = 4.0 / float(eps) * float(log_ratio)
 
     variance = n_half * n_half
-    best_gap = -np.inf
+    best_gap = None
     for _ in range(_V_DOUBLINGS + 1):
         trunc = a_cut * variance + n_half
         # grid radius: cells past the double-underflow radius of the
@@ -603,15 +600,16 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
             step = 2.0 * radius / atoms
             z = discretize_trunc_gaussian(variance, radius, step)
             worst, _where = _conv_gap_sweep(u, s, z, order)
-            best_gap = max(best_gap, worst)
+            best_gap = worst if best_gap is None else max(best_gap, worst)
             if worst >= -_GAP_TOL:
                 params = CatalystParams(
                     n_half, eps, delta, a_cut, variance, trunc, step
                 )
                 return CatalystCertificate(z, name, params, True, worst)
         variance *= 2.0
+    swept = "no rung swept" if best_gap is None else f"best gap {best_gap:g}"
     raise BudgetExhausted(
-        f"catalyst variance escalation exhausted before V = {variance:g} (best gap {best_gap:g})",
+        f"catalyst variance escalation exhausted before V = {variance:g} ({swept})",
         worst_gap=best_gap,
     )
 

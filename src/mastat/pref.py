@@ -8,24 +8,22 @@ discounters with rates r_i under Pareto weights lambda yields the social
 statistic sum_i lambda_i K_{-r_i} and the harmonic social rate
 1/r = sum_i lambda_i / r_i.
 
-The violation search decides the candidate quadruples in canonical order,
-in batches: dominance._strict_fosd_rows reads the convolved laws of a
-batch on the union of their supports, which gives fosd's verdict (the
-proof is in its docstring). A batch starts as one outer pair's quadruples
-and doubles up to _BATCH, and its tables are chunked at
-dominance._ROWS_CELLS entries, so max_candidates never sets their size.
+The violation search checks the grid once, so that no convolution fails
+mid-walk, and holds the ranked pairs as index arrays, in memory linear in
+max_candidates. It decides the quadruples in canonical order, in batches
+of at most _BATCH: dominance._strict_fosd_rows reads a batch's convolved
+laws on the union of their supports, which gives fosd's verdict (proved
+in its docstring), in tables chunked at dominance._ROWS_CELLS entries.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dist import SUPPORT_CAP, FiniteDist, convolve, make, moments
+from .dist import SUPPORT_CAP, FiniteDist, _check_sums, convolve, make, moments
 from .dominance import _strict_fosd_rows
 from .errors import (
     BadParams,
@@ -34,7 +32,6 @@ from .errors import (
     IllConditioned,
     InfeasibleC,
     InputError,
-    MasError,
     NegativeTime,
     NonpositivePrize,
     WeightMismatch,
@@ -366,12 +363,16 @@ def _values(preference: Callable[[FiniteDist], float], gambles) -> np.ndarray:
     return np.array([preference(g) for g in gambles], dtype=np.float64)
 
 
-def _ranked(values: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """Index pairs (i, j) with values[i] > values[j], i ascending, then j
-    ascending: the order the violation search visits them."""
-    for i, v in enumerate(values):
-        for j in np.flatnonzero(values < v).tolist():
-            yield i, j
+def _ranked(values: np.ndarray, limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first `limit` index pairs (i, j) with values[i] > values[j], in
+    the order the violation search walks them (i ascending, then j
+    ascending), as the array of the i and the array of the j."""
+    # how many values lie below each; sorted last, a NaN ranks against nothing
+    below = np.where(np.isnan(values), 0, np.searchsorted(np.sort(values), values))
+    limit = min(limit, int(below.sum()))
+    rows = np.flatnonzero((below > 0) & (np.cumsum(below) - below < limit))
+    smaller = [np.flatnonzero(values < values[i]) for i in rows.tolist()]
+    return np.repeat(rows, below[rows])[:limit], np.concatenate([rows[:0], *smaller])[:limit]
 
 
 #: the most quadruples one batch of the violation search decides: it
@@ -382,21 +383,15 @@ _BATCH = 1 << 9
 
 class _PairSums(dict):
     """Place in `laws` of the convolution of each gamble pair (i, j),
-    i <= j, convolved on first lookup. A pair whose convolution raises
-    maps to -1, and the first such error is kept in `error`."""
+    i <= j, keyed i * len(gambles) + j and convolved on first lookup."""
 
     def __init__(self, gambles):
-        super().__init__()
-        self.gambles, self.laws, self.error = gambles, [], None
+        self.gambles, self.laws = gambles, []
 
     def __missing__(self, key):
-        try:
-            law = convolve(self.gambles[key[0]], self.gambles[key[1]])
-        except MasError as exc:
-            self.error = self.error or exc
-            return -1
+        i, j = divmod(key, len(self.gambles))
         self[key] = len(self.laws)
-        self.laws.append(law)
+        self.laws.append(convolve(self.gambles[i], self.gambles[j]))
         return self[key]
 
 
@@ -410,38 +405,42 @@ def find_framing_violation(
     pref1(X) > pref1(X'), pref2(Y) > pref2(Y'), and X' + Y' strictly
     first-order dominating X + Y; None if none exists within the budget.
 
-    The ranked pairs are walked lazily, so max_candidates, an integer (0
-    if negative), bounds both the quadruples compared and the pairs walked
-    on either side. It does not bound the grid: every gamble is still
-    built and ranked once.
+    max_candidates, an integer (0 if negative), bounds the quadruples
+    compared and the ranked pairs, held as index arrays linear in it: the
+    first max_candidates inner pairs (Y, Y'), L of them, and the first
+    ceil(max_candidates / L) outer pairs (X, X'); quadruple q pairs outer
+    q // L with inner q % L. Every gamble is still built and ranked once.
+    BadParams, before any convolution, unless twice the least and greatest
+    grid values are finite and no gamble has over 2^10 atoms: every atom
+    lies between them and fl(a + b) is monotone, so no convolution fails.
     """
     if not (-math.inf < max_candidates < math.inf and int(max_candidates) == max_candidates):
         raise BadParams("max_candidates must be an integer")
-    # islice takes no count past sys.maxsize, which no walk reaches
-    budget = min(max(int(max_candidates), 0), sys.maxsize)
+    budget = max(int(max_candidates), 0)
     gambles = grid.gambles()
     v1, v2 = _values(pref1, gambles), _values(pref2, gambles)
-    inner = list(islice(_ranked(v2), budget))
-    if not inner:  # else the walk below would visit every outer pair for nothing
+    k, kp = _ranked(v2, budget)
+    if not k.size:  # else the outer pairs would be ranked for nothing
         return None
-    sums = _PairSums(gambles)
-    quads = islice(((i, ip, k, kp) for i, ip in _ranked(v1) for k, kp in inner), budget)
-    size = min(len(inner), _BATCH)  # one outer pair's quadruples, then doubling
-    while batch := list(islice(quads, size)):
+    i, ip = _ranked(v1, -(-budget // k.size))
+    stop = min(budget, i.size * k.size)
+    ends = np.array([min(grid.values), max(grid.values)])
+    _check_sums(ends, ends)
+    if max(g.n_atoms for g in gambles) ** 2 > SUPPORT_CAP:
+        raise BadParams(f"gambles of over 2^10 atoms: their sums pass {SUPPORT_CAP} atom pairs")
+    sums, n = _PairSums(gambles), len(gambles)
+    start, size = 0, min(k.size, _BATCH)  # one outer pair's quadruples, then doubling
+    while start < stop:
+        outer, inner = np.divmod(np.arange(start, min(start + size, stop)), k.size)
         # the pairs (X', Y') and (X, Y) of each quadruple, in walk order
-        ids = [sums[key] for i, ip, k, kp in batch for key in (
-            (ip, kp) if ip <= kp else (kp, ip), (i, k) if i <= k else (k, i))]
-        if sums.error is not None:  # decide the quadruples before it first
-            batch = batch[: ids.index(-1) // 2]
-        ids = np.array(ids[: 2 * len(batch)], dtype=np.intp)
-        if batch and (hits := np.flatnonzero(
-            _strict_fosd_rows(sums.laws, ids[0::2], ids[1::2], 1e-12)
-        )).size:
-            i, ip, k, kp = batch[hits[0]]
-            return (gambles[i], gambles[ip], gambles[k], gambles[kp])
-        if sums.error is not None:
-            raise sums.error
-        size = min(2 * size, _BATCH)
+        a, b = np.stack((ip[outer], i[outer]), 1), np.stack((kp[inner], k[inner]), 1)
+        keys = (np.minimum(a, b) * n + np.maximum(a, b)).ravel().tolist()
+        ids = np.fromiter(map(sums.__getitem__, keys), np.intp, len(keys))
+        hits = np.flatnonzero(_strict_fosd_rows(sums.laws, ids[0::2], ids[1::2], 1e-12))
+        if hits.size:
+            o, q = outer[hits[0]], inner[hits[0]]
+            return (gambles[i[o]], gambles[ip[o]], gambles[k[q]], gambles[kp[q]])
+        start, size = start + size, min(2 * size, _BATCH)
     return None
 
 

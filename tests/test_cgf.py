@@ -400,8 +400,8 @@ class TestSinglePass:
     def test_profile_grid(self, monkeypatch):
         """k_profile and the grid check evaluate the grid's regular interior
         in one _k_direct call, and fall back to k_a_many when |a| * scale
-        leaves [_SMALL_A, _HUGE_A] there: both are the masked path's bytes,
-        on the whole grid and on its nonpositive half."""
+        passes _HUGE_A there: both are the masked path's bytes, on the
+        whole grid and on its nonpositive half."""
         calls = []
         k_a_many = cgf.k_a_many
 
@@ -432,18 +432,25 @@ class TestSinglePass:
             assert cgf.k_profile(wide, n_grid).values[grid.size // 2] == 0.0
             # one atom at -0.0: every K is that atom, the mean's sign aside
             assert (cgf.k_profile(point, n_grid).values == 0.0).all()
-        # a _SMALL_A above the grid's smallest |a| sends the grid through
-        # k_a_many's second-order branch
+        # k_a_many's second-order branch on the grid, under a _SMALL_A
+        # raised above the grid's smallest |a|
         d = dists[0]
         grid = cgf.profile_grid(201)
         monkeypatch.setattr(cgf, "_SMALL_A", 0.05)
-        got = cgf.k_profile(d, 201).values
-        assert got.tobytes() == cgf.k_a_many(d, grid).tobytes()
+        got = cgf.k_a_many(d, grid)
         near = np.abs(grid) * max(1.0, abs(d.moments.lo), abs(d.moments.hi)) < 0.05
         assert near.sum() > 1
         m = d.moments
         want = (m.mean + grid[near] * m.variance / 2.0).clip(m.lo, m.hi)
         assert got[near].tobytes() == want.tobytes()
+
+    def test_grid_interior_stays_above_the_small_index_cutoff(self):
+        # so with scale >= 1 the grid never needs k_a_many's near-zero
+        # branch: at the largest n_grid the smallest |a| is 3.0e-6
+        try:
+            assert np.abs(cgf._grid(dist.SUPPORT_CAP)[2]).min() >= cgf._SMALL_A
+        finally:
+            cgf._grid.cache_clear()
 
     def test_profile_grid_built_once_read_only(self):
         for n_grid in (3, 10, 51, 201):

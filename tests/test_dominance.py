@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import time
@@ -345,16 +346,31 @@ class TestBandFloor:
 
     def test_point_mass_worst_gap_is_the_reverification(self):
         # X already dominates Y: the worst gap is fosd's or sosd's, and
-        # verify_certificate re-runs that check rather than the sweep
+        # verify_certificate re-runs that check rather than the sweep, also
+        # on a deep copy, whose catalyst is a copy of the point mass. On the
+        # last pair the sweep reads -6.8e-21 where fosd reads 0.
+        law = dist.make(
+            [-0.9160221183032835, -0.38212933595071447, 0.41824258134859676,
+             0.6170256529758671, 0.739070636431625],
+            [0.20164172449398568, 0.37094286352267997, 0.009524282798456797,
+             0.41788399986384683, 7.129321030595349e-06],
+        )
+        cases = [(x, y, 1e-3) for x, y in
+                 itertools.islice(strict_pair_stream(np.random.default_rng(15)), 60)]
+        cases.append((law, dist.shift(law, -0.29674718888538343), 0.0))
         found = {"first": 0, "second": 0}
-        for x, y in itertools.islice(strict_pair_stream(np.random.default_rng(15)), 60):
+        for x, y, margin in cases:
             for order, direct in (("first", dominance.fosd), ("second", dominance.sosd)):
                 if direct(x, y).dominates:
-                    cert = getattr(dominance, f"find_catalyst_{order}")(x, y, margin=1e-3)
+                    cert = getattr(dominance, f"find_catalyst_{order}")(x, y, margin=margin)
                     assert cert.catalyst.n_atoms == 1 and cert.verified
-                    assert cert.worst_gap == dominance.verify_certificate(cert, x, y)
+                    for c in (cert, copy.deepcopy(cert)):
+                        assert cert.worst_gap == dominance.verify_certificate(c, x, y)
                     found[order] += 1
         assert min(found.values()) >= 20
+        x, y = cases[-1][:2]
+        cert = dominance.find_catalyst_first(x, y, margin=0.0)
+        assert dominance.fosd_with_catalyst(x, y, cert.catalyst)[0] < cert.worst_gap == 0.0
 
     def test_negative_margin_rejected(self):
         # strict CGF dominance at a margin >= 0 implies both endpoint gaps;
@@ -474,8 +490,9 @@ class TestScaleFree:
         x, y = figure_pair()
         xs, ys = _scaled(x, s), _scaled(dist.shift(y, 0.31), s)
         assert cgf.k_dominates(xs, ys).order is cgf.KOrder.STRICT
-        with pytest.raises(BudgetExhausted, match="exhausted before V = "):
+        with pytest.raises(BudgetExhausted, match=r"exhausted before V = .* \(no rung swept\)$") as exc:
             _FIND[order](xs, ys)
+        assert exc.value.worst_gap is None
 
     def test_largest_scale_that_verifies(self):
         x, y = figure_pair()

@@ -508,8 +508,8 @@ class TestFramingViolation:
         )
 
     def test_budget_past_sys_maxsize(self):
-        # islice takes no count past sys.maxsize; such a budget used to end
-        # in a bare ValueError, and is now clamped, as no walk gets that far
+        # such a budget once ended in a bare ValueError; the walk keeps no
+        # more pairs than the grid ranks, however far past them it reaches
         want = pref.find_framing_violation(pref.median, pref.median, self.GRID, 10**5)
         assert want is not None
         for budget in (sys.maxsize, sys.maxsize + 1, 10**20, 10**400, 1e20):
@@ -571,45 +571,49 @@ class TestFramingViolation:
                 if got is not None:
                     assert all(same_bytes(a, b) for a, b in zip(got, want))
 
-    def test_convolution_error_after_a_hit(self, monkeypatch):
-        """A batch whose later pair sums overflow still returns the hit
-        found before them, and raises where the walk first meets them."""
+    @pytest.mark.parametrize("budget", [1, 10**5])
+    def test_overflowing_grid_is_refused_before_any_convolution(self, monkeypatch, budget):
+        """Twice 1e308 is not a double, so some pair sums of this grid
+        overflow: the search refuses the grid before its first convolution,
+        under median and random preferences."""
         grid = pref.GambleGrid((0.0, 1.0, 2.0, 1e308), 0.5, 2)
         keys = {g.support.tobytes() + g.probs.tobytes(): n for n, g in enumerate(grid.gambles())}
-        failed = []
-
-        def convolve(d1, d2):
-            try:
-                return dist.convolve(d1, d2)
-            except BadParams:
-                failed.append(1)
-                raise
-
+        calls = []
+        monkeypatch.setattr(pref, "convolve", lambda d1, d2: calls.append(1))
         rng = np.random.default_rng(31)
-        found_after_error = 0
-        for _ in range(400):
+        prefs = [(pref.median, pref.median)]
+        for _ in range(20):
             t1, t2 = rng.integers(0, 4, len(keys)), rng.integers(0, 4, len(keys))
-            p1 = lambda d: float(t1[keys[d.support.tobytes() + d.probs.tobytes()]])  # noqa: E731
-            p2 = lambda d: float(t2[keys[d.support.tobytes() + d.probs.tobytes()]])  # noqa: E731
-            for budget in (5, 10**5):
-                monkeypatch.setattr(pref, "convolve", convolve)
-                failed.clear()
-                try:
-                    got = pref.find_framing_violation(p1, p2, grid, budget)
-                except BadParams:
-                    got = "raised"
-                monkeypatch.undo()
-                try:
-                    want = _search_by_pair_lists(p1, p2, grid, budget)
-                except BadParams:
-                    want = "raised"
-                if isinstance(got, tuple) and failed:
-                    found_after_error += 1
-                if isinstance(got, tuple) and isinstance(want, tuple):
-                    assert all(same_bytes(a, b) for a, b in zip(got, want))
-                else:
-                    assert got == want
-        assert found_after_error > 0
+            prefs.append((lambda d, t=t1: float(t[keys[d.support.tobytes() + d.probs.tobytes()]]),
+                          lambda d, t=t2: float(t[keys[d.support.tobytes() + d.probs.tobytes()]])))
+        for p1, p2 in prefs:
+            with pytest.raises(BadParams, match="sums of support points must be finite"):
+                pref.find_framing_violation(p1, p2, grid, budget)
+        assert not calls
+
+    def test_gambles_past_the_atom_pair_cap_are_refused_before_any_convolution(self, monkeypatch):
+        # two 2-atom gambles make 4 atom pairs: past a cap of 3
+        calls = []
+        monkeypatch.setattr(pref, "convolve", lambda d1, d2: calls.append(1))
+        monkeypatch.setattr(pref, "SUPPORT_CAP", 3)
+        grid = pref.GambleGrid((-2.0, -1.0, 0.0, 1.0), 0.5, 2)
+        with pytest.raises(BadParams, match="atom pairs"):
+            pref.find_framing_violation(pref.median, pref.median, grid, 10**5)
+        assert not calls
+
+    def test_ranked_is_the_prefix_of_the_walk(self):
+        """The index arrays are the first `limit` pairs of the listed walk,
+        with ties, signed zeros and NaN values among the ranked values."""
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            values = rng.integers(-3, 4, int(rng.integers(0, 30))).astype(float)
+            values[rng.random(values.size) < 0.1] = math.nan
+            values[values == 0] = rng.choice([0.0, -0.0], int((values == 0).sum()))
+            want = [(i, j) for i in range(values.size) for j in range(values.size)
+                    if values[i] > values[j]]
+            for limit in (*range(len(want) + 2), 10**400):
+                first, second = pref._ranked(values, limit)
+                assert list(zip(first.tolist(), second.tolist())) == want[:limit]
 
     def test_count_with_nan_and_tied_values(self):
         grid = pref.GambleGrid((-1.0, 0.0, 1.0, 2.0), 0.25, 2)
@@ -643,6 +647,19 @@ class TestFramingViolation:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_index_arrays_bound_the_search_memory(self):
+        """At budget 10^5 the median search on the 462-gamble grid keeps its
+        85,421 inner pairs as two index arrays; as a list of tuples they
+        took the peak past 9 MB."""
+        assert pref.find_framing_violation(pref.median, pref.median, self.BIG, 10**5) is None
+        tracemalloc.start()
+        try:
+            assert pref.find_framing_violation(pref.median, pref.median, self.BIG, 10**5) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_cli_budget_bounds_the_search_memory(self, capsys):
         values = ",".join(map(str, self.BIG.values))
