@@ -5,14 +5,14 @@ and strictly positive probabilities summing to one. All operations are pure
 functions returning new canonical distributions, so values can be shared
 freely across threads.
 
-Probabilities are stored as doubles. A parallel array of log-probabilities
-is kept alongside them: the CGF evaluator works in log space. Every law
-goes through one canonicalisation (_canonical: sort, snap-merge, drop zero
-masses, renormalise), which takes linear probabilities only, and its
-log-probabilities are the logs of the final masses. decay_two_point is the
-one law whose log masses are set directly: with b*n of a few thousand its
-top mass lies far below the double underflow threshold, and only its log
-mass keeps it.
+Probabilities are stored as doubles, with a parallel array of their logs
+for the CGF evaluator, which works in log space. Every law goes through one
+canonicalisation (_canonical: sort, snap-merge, drop zero masses,
+renormalise) of linear probabilities, whose log-probabilities are the logs
+of the final masses. decay_two_point alone sets its log masses: with b*n of
+a few thousand its top mass lies far below the double underflow threshold,
+and only its log mass keeps it. make and FiniteDist(...) check their input;
+a result canonical by construction skips the checks (_trusted).
 
 SNAP_TOL is absolute at every scale: points 5e-10 apart merge, while
 adjacent doubles near 1e8 (1.49e-8 apart) stay two atoms. A relative
@@ -24,6 +24,7 @@ same distribution do not recompute them.
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -85,8 +86,8 @@ class FiniteDist:
         """Mean, variance and support endpoints, computed on first use."""
         x = self.support
         mean = float(np.dot(self.probs, x))
-        # a squared deviation may overflow to inf, which k_a_many handles
-        with np.errstate(over="ignore"):
+        # past a span of 1e150 a squared deviation may be inf; k_a_many handles it
+        with np.errstate(over="ignore") if float(x[-1]) - float(x[0]) > 1e150 else nullcontext():
             var = float(np.dot(self.probs, (x - mean) ** 2))
         return Moments(mean, var, float(x[0]), float(x[-1]))
 
@@ -94,7 +95,7 @@ class FiniteDist:
     def min_gap(self) -> float:
         """Smallest gap between adjacent support points (inf for one atom)."""
         x = self.support
-        return float((x[1:] - x[:-1]).min()) if x.size > 1 else math.inf
+        return 2.0 * float(_half_gaps(x).min()) if x.size > 1 else math.inf
 
     @cached_property
     def cdf_steps(self) -> np.ndarray:
@@ -127,35 +128,43 @@ class FiniteDist:
         return f"FiniteDist({pairs}{tail})"
 
 
-def _canonical(support, probs) -> FiniteDist:
-    """Sort, snap-merge, drop zero-mass atoms, renormalize 1-d float64 arrays.
-
-    Input that is already canonical (strictly increasing with gaps above
-    SNAP_TOL, all masses positive) skips the sort and merge; the result is
-    the same bytes either way. A gap past the largest double is inf. The
-    result keeps the support array, so callers pass one of their own.
-    """
-    with np.errstate(over="ignore"):
-        if probs.min() > 0.0 and (
-            support.size == 1 or (support[1:] - support[:-1]).min() > SNAP_TOL
-        ):
-            probs = probs / probs.sum()
-            return FiniteDist(support, probs, np.log(probs))
-        return _sort_merge(support, probs)
+def _trusted(support, probs, lp=None) -> FiniteDist:
+    """The law of arrays canonical by construction: read-only, not checked."""
+    d = object.__new__(FiniteDist)
+    vars(d).update(support=support, probs=probs, log_probs=np.log(probs) if lp is None else lp)
+    for arr in vars(d).values():
+        arr.setflags(write=False)
+    return d
 
 
-def _sort_merge(support, probs) -> FiniteDist:
+def _half_gaps(x: np.ndarray) -> np.ndarray:
+    """(x[1:] - x[:-1]) / 2 from halves, which cannot overflow; > tol / 2 is each gap's > tol."""
+    h = x * 0.5
+    return np.subtract(h[1:], h[:-1], out=h[:-1])  # in place: read ahead of the write
+
+
+def _canonical(support, probs):
+    """Sort, snap-merge, drop zero-mass atoms, renormalize 1-d float64
+    arrays into (support, probs). Input that is already canonical (strictly
+    increasing with gaps above SNAP_TOL, all masses positive) skips the sort
+    and merge, with the same bytes; it keeps the support array, so callers
+    pass one of their own."""
+    if probs.min() > 0.0 and (_half_gaps(support) > SNAP_TOL / 2).all():
+        return support, probs / probs.sum()
+    return _sort_merge(support, probs)
+
+
+def _sort_merge(support, probs):
     """The canonicalisation of _canonical without its early return, for
     input that is not already canonical."""
     order = np.argsort(support, kind="stable")
-    merged_v, merged_p = _merge_sorted(support[order], probs[order], SNAP_TOL)
+    support, probs, order = support[order], probs[order], None  # order freed before the merge
+    merged_v, merged_p = _merge_sorted(support, probs, SNAP_TOL)
     keep = merged_p > 0.0
-    merged_v = merged_v[keep]
-    merged_p = merged_p[keep]
+    merged_v, merged_p = merged_v[keep], merged_p[keep]
     if merged_v.size == 0:
         raise MassNotOne("all atoms have zero mass")
-    merged_p = merged_p / merged_p.sum()
-    return FiniteDist(merged_v, merged_p, np.log(merged_p))
+    return merged_v, merged_p / merged_p.sum()
 
 
 def _merge_sorted(values, weights, tol):
@@ -170,7 +179,7 @@ def _merge_sorted(values, weights, tol):
     n = values.shape[0]
     brk = np.empty(n, dtype=bool)
     brk[0] = True
-    np.greater(values[1:] - values[:-1], tol, out=brk[1:])
+    np.greater(_half_gaps(values), tol / 2, out=brk[1:])
     starts = brk.nonzero()[0]
     ends = np.empty_like(starts)
     ends[:-1] = starts[1:] - 1
@@ -201,7 +210,7 @@ def make(support, probs) -> FiniteDist:
     total = probs.sum()
     if not abs(total - 1.0) <= MASS_TOL:
         raise MassNotOne(f"probabilities sum to {float(total)}, expected 1")
-    return _canonical(support, probs)
+    return _trusted(*_canonical(support, probs))
 
 
 def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
@@ -231,10 +240,10 @@ def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
         # already canonical and _canonical's early-return test is skipped
         vals = (y[::-1, None] + x).ravel()
         wts = (d2.probs[::-1, None] * d1.probs).ravel()
-        return _sort_merge(vals, wts)
+        return _trusted(*_sort_merge(vals, wts))
     vals = (x[:, None] + y).ravel()
     wts = (d1.probs[:, None] * d2.probs).ravel()
-    return _canonical(vals, wts)
+    return _trusted(*_canonical(vals, wts))
 
 
 def _check_sums(x: np.ndarray, y: np.ndarray) -> None:
@@ -260,32 +269,32 @@ def iid_power(d: FiniteDist, n: int) -> FiniteDist:
     the cap still counts m * m pairs. Against convolve(base, base), whose
     clusters it shares but sums in another order: the same atom counts,
     supports within 2e-15 * n * max(1, |x|) over d, masses within 1e-14
-    relative.
+    relative. Squarings take bare arrays; a law is built for a factor.
     """
     n = _positive_int(n)
-    acc = None
-    base = d
+    acc, base, x, p = None, d, d.support, d.probs  # base: the law of (x, p), or None
     while True:
         if n & 1:
+            base = base or _trusted(x, p)
             acc = base if acc is None else convolve(acc, base)
         n >>= 1
         if n == 0:
             return acc
-        if (m := base.n_atoms) * m > SUPPORT_CAP:
+        if (m := x.size) * m > SUPPORT_CAP:
             raise SupportBlowup(
                 f"convolution would enumerate {m * m} atom pairs (cap {SUPPORT_CAP})"
             )
-        _check_sums(base.support, base.support)
+        _check_sums(x, x)
         lens = np.arange(m, 0, -1)
         starts = np.cumsum(lens) - lens  # row i starts at its diagonal pair
         j = np.arange(starts[-1] + 1) - np.repeat(starts - np.arange(m), lens)
-        vals, wts = np.repeat(base.support, lens), np.repeat(base.probs, lens)
-        vals += base.support[j]
-        wts *= base.probs[j]
+        vals, wts = np.repeat(x, lens), np.repeat(p, lens)
+        vals += x[j]
+        wts *= p[j]
         del j  # one temporary fewer through the sort keeps the heap from growing
         wts *= 2.0
-        wts[starts] = base.probs * base.probs
-        base = _canonical(vals, wts)
+        wts[starts] = p * p
+        base, (x, p) = None, _sort_merge(vals, wts)  # _canonical's bytes, without its test
 
 
 def mixture(d1: FiniteDist, d2: FiniteDist, lam: float) -> FiniteDist:
@@ -298,7 +307,7 @@ def mixture(d1: FiniteDist, d2: FiniteDist, lam: float) -> FiniteDist:
         return d2
     vals = np.concatenate((d1.support, d2.support))
     wts = np.concatenate((lam * d1.probs, (1.0 - lam) * d2.probs))
-    return _canonical(vals, wts)
+    return _trusted(*_canonical(vals, wts))
 
 
 def shift(d: FiniteDist, c: float) -> FiniteDist:
@@ -308,15 +317,13 @@ def shift(d: FiniteDist, c: float) -> FiniteDist:
         return d
     _check_sums(d.support, np.array([c], dtype=np.float64))
     x = d.support + c
-    if x.size > 1 and (x[1:] - x[:-1]).min() <= SNAP_TOL:
-        return _sort_merge(x, d.probs)
-    return FiniteDist(x, d.probs, d.log_probs)  # read-only, so shared
+    if not (_half_gaps(x) > SNAP_TOL / 2).all():
+        return _trusted(*_sort_merge(x, d.probs))
+    return _trusted(x, d.probs, d.log_probs)  # read-only, so shared
 
 
 def negate(d: FiniteDist) -> FiniteDist:
-    return FiniteDist(
-        -d.support[::-1], d.probs[::-1].copy(), d.log_probs[::-1].copy()
-    )
+    return _trusted(-d.support[::-1], d.probs[::-1].copy(), d.log_probs[::-1].copy())
 
 
 def cdf(d: FiniteDist, x):
@@ -349,7 +356,7 @@ def discretize_uniform(a: float, b: float, step: float) -> FiniteDist:
         raise BadInterval(f"step {step} on [{a}, {b}] needs more than {SUPPORT_CAP} cells")
     h = (b - a) / n
     mids = a + (np.arange(n) + 0.5) * h
-    return _canonical(mids, np.full(n, 1.0 / n))
+    return _trusted(*_canonical(mids, np.full(n, 1.0 / n)))
 
 
 def discretize_trunc_gaussian(v: float, t: float, step: float) -> FiniteDist:
@@ -374,8 +381,7 @@ def discretize_trunc_gaussian(v: float, t: float, step: float) -> FiniteDist:
     w = w / total
     keep = w > 0.0  # cells past the underflow radius carry no mass
     sup, w = sup[keep], w[keep]
-    w = w / w.sum()
-    return FiniteDist(sup, w, np.log(w))
+    return _trusted(sup, w / w.sum())
 
 
 def decay_two_point(n: int, b: float) -> FiniteDist:
@@ -400,13 +406,13 @@ def decay_two_point(n: int, b: float) -> FiniteDist:
     lp -= m + np.log(np.sum(np.exp(lp - m)))
     p = np.exp(lp)
     p /= p.sum()
-    return FiniteDist(np.array([0.0, float(n)]), p, lp)
+    return _trusted(np.array([0.0, float(n)]), p, lp)
 
 
 def floor_dist(d: FiniteDist) -> FiniteDist:
     """Round every outcome down to an integer (with a 1e-9 snap guard)."""
     vals = np.floor(d.support + 1e-9)
-    return _canonical(vals, d.probs)
+    return _trusted(*_canonical(vals, d.probs))
 
 
 def merged_support(d1: FiniteDist, d2: FiniteDist) -> np.ndarray:

@@ -50,6 +50,7 @@ from .dist import (
     SNAP_TOL,
     FiniteDist,
     _positive_int,
+    _trusted,
     cdf,
     convolve,
     discretize_trunc_gaussian,
@@ -61,7 +62,7 @@ _GAP_TOL = 1e-12
 
 #: the catalyst when X already dominates Y; FiniteDist is frozen and its
 #: arrays read-only, so every certificate shares this one
-_POINT_ZERO = FiniteDist(np.zeros(1), np.ones(1), np.zeros(1))
+_POINT_ZERO = _trusted(np.zeros(1), np.ones(1), np.zeros(1))
 
 #: atom-count ladder for the catalyst discretization (cap 2**14)
 _Z_ATOMS = (129, 1025, 8193, 16384)
@@ -608,8 +609,10 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
                 return CatalystCertificate(z, name, params, True, worst)
         variance *= 2.0
     swept = "no rung swept" if best_gap is None else f"best gap {best_gap:g}"
+    # V is inf only as N^2 (a finite rung past 1e308 / 2 needs A < 1e-154); N on halves
+    v = f"{variance:g}" if variance < math.inf else f"({top / 2 - my[0] / 2:g})^2"
     raise BudgetExhausted(
-        f"catalyst variance escalation exhausted before V = {variance:g} ({swept})",
+        f"catalyst variance escalation exhausted before V = {v} ({swept})",
         worst_gap=best_gap,
     )
 

@@ -83,14 +83,15 @@ def warm_kernels():
 
 # Oracles for byte-identity tests: convolve, fosd and decay_two_point as
 # first written; iid_power with the squaring it had before it laid out only
-# the pairs i <= j.
+# the pairs i <= j, and with a checked law built at every squaring.
 
 
 def convolve_d1_major(d1, d2):
     """convolve with its pair sums laid out one row per d1 atom."""
     vals = (d1.support[:, None] + d2.support[None, :]).ravel()
     wts = (d1.probs[:, None] * d2.probs[None, :]).ravel()
-    return dist._canonical(vals, wts)
+    support, probs = dist._canonical(vals, wts)
+    return dist.FiniteDist(support, probs, np.log(probs))
 
 
 def iid_power_full_square(d, n):
@@ -104,6 +105,30 @@ def iid_power_full_square(d, n):
         if n == 0:
             return acc
         base = dist.convolve(base, base)
+
+
+def iid_power_law_per_square(d, n):
+    """iid_power as it was before its squarings took bare arrays: the
+    triangle of pairs i <= j, and a law built by FiniteDist(...), with its
+    checks, at every squaring. No cap."""
+    acc, base = None, d
+    while True:
+        if n & 1:
+            acc = base if acc is None else dist.convolve(acc, base)
+        n >>= 1
+        if n == 0:
+            return acc
+        m = base.n_atoms
+        lens = np.arange(m, 0, -1)
+        starts = np.cumsum(lens) - lens
+        j = np.arange(starts[-1] + 1) - np.repeat(starts - np.arange(m), lens)
+        vals, wts = np.repeat(base.support, lens), np.repeat(base.probs, lens)
+        vals += base.support[j]
+        wts *= base.probs[j]
+        wts *= 2.0
+        wts[starts] = base.probs * base.probs
+        support, probs = dist._canonical(vals, wts)
+        base = dist.FiniteDist(support, probs, np.log(probs))
 
 
 def sort_merge_log_space(support, log_probs):

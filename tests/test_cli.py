@@ -523,6 +523,16 @@ class TestCsvOutputs:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: sums of support points must be finite doubles\n"
 
+    def test_cdf_csv_gap_past_the_largest_double(self, capsys, files):
+        # finite sums whose adjacent gap overflowed in the merge: an overflow
+        # warning, and exit 1 where warnings are errors
+        x, z = files["tmp"] / "x_wide.json", files["tmp"] / "z_wide.json"
+        x.write_text(json.dumps({"support": [-1e308, 9e307, 1e308], "probs": [0.2, 0.3, 0.5]}))
+        z.write_text(json.dumps({"support": [0.0, 1e300], "probs": [0.5, 0.5]}))
+        code = cli.run(["cdf-csv", str(x), str(x), "--add", str(z)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(out) == 7 and out[-1] == "1.00000001e+308,1.0,1.0"
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, files):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastat import dist, mas, pref
+from mastat import dist, dominance, mas, pref
 from mastat.errors import (
     BadInterval,
     BadParams,
@@ -24,6 +24,7 @@ from conftest import (
     convolve_d1_major,
     decay_two_point_log_space,
     iid_power_full_square,
+    iid_power_law_per_square,
     random_dist,
     same_bytes,
     seeded_law,
@@ -240,7 +241,8 @@ def _assert_power_contract(d, n):
     """iid_power(d, n) against the full squaring, both under the current
     dist.SUPPORT_CAP: the same atom count, supports within
     2e-15 * n * max(1, |x|) over d's support, masses within 1e-14
-    relative. Returns False where both raise SupportBlowup."""
+    relative; and the same bytes as the squaring that builds a law at
+    every step. Returns False where both raise SupportBlowup."""
     try:
         want = iid_power_full_square(d, n)
     except SupportBlowup:
@@ -252,6 +254,7 @@ def _assert_power_contract(d, n):
     assert got.n_atoms == want.n_atoms
     assert np.abs(got.support - want.support).max() <= 2e-15 * scale
     assert (np.abs(got.probs - want.probs) <= 1e-14 * want.probs).all()
+    assert same_bytes(got, iid_power_law_per_square(d, n))
     return True
 
 
@@ -311,6 +314,77 @@ class TestIidPowerTriangle:
                     # the squaring of the 8-fold base is the first step past m * m - 1
                     with pytest.raises(SupportBlowup, match=f"enumerate {m * m} atom pairs"):
                         dist.iid_power(d, 16)
+
+
+def _internal_results():
+    """One result of each producer that builds its law without the checks
+    of FiniteDist(...)."""
+    rng = np.random.default_rng(23)
+    a, b = random_dist(rng, 4, 7), random_dist(rng, 2, 4)
+    return {
+        "convolve, rows of the larger law": dist.convolve(b, a),
+        "convolve, rows of the smaller law": dist.convolve(a, b),
+        "iid_power": dist.iid_power(a, 5),
+        "shift": dist.shift(a, 0.5),
+        "shift with a merge": dist.shift(dist.make([0.0, 2e-9], [0.25, 0.75]), 1e8),
+        "negate": dist.negate(a),
+        "mixture": dist.mixture(a, b, 0.3),
+        "floor_dist": dist.floor_dist(dist.shift(a, 3.0)),
+        "discretize_uniform": dist.discretize_uniform(-1.0, 2.0, 0.1),
+        "discretize_trunc_gaussian": dist.discretize_trunc_gaussian(1.0, 3.0, 0.25),
+        "decay_two_point": dist.decay_two_point(4096, 1.0),
+        "_POINT_ZERO": dominance._POINT_ZERO,
+    }
+
+
+@pytest.mark.parametrize("name", list(_internal_results()))
+def test_internal_results_pass_the_public_checks(name):
+    d = _internal_results()[name]
+    arrays = (d.support, d.probs, d.log_probs)
+    assert not any(arr.flags.writeable for arr in arrays)
+    checked = dist.FiniteDist(*(arr.copy() for arr in arrays))
+    assert same_bytes(checked, d)
+    assert (np.diff(d.support) > dist.SNAP_TOL).all() and np.isfinite(d.log_probs).all()
+
+
+class TestGapsPastTheLargestDouble:
+    """An adjacent gap past the largest double counts as inf, with no
+    overflow warning: the suite turns warnings into errors."""
+
+    def test_half_gap_verdicts_are_the_gaps(self):
+        # pairs near SNAP_TOL apart at every magnitude, subnormals included,
+        # and pairs whose gap is past the largest double
+        rng = np.random.default_rng(29)
+        count = 200_000
+        a = rng.uniform(-1.0, 1.0, count) * 10.0 ** rng.integers(-320, 309, count)
+        a[::4] = rng.uniform(-1.0, 1.0, count // 4) * 1.6e308
+        near = rng.uniform(0.0, 2.0, count) * dist.SNAP_TOL
+        far = rng.uniform(-1.0, 1.0, count) * 10.0 ** rng.integers(-330, 308, count)
+        overflowed = 0
+        for b in (a + near, np.nextafter(a + dist.SNAP_TOL, a), -a, a + far):
+            x = np.empty(2 * count)
+            x[0::2], x[1::2] = a, b  # finite: |a + far| < 1.6e308 + 1e307
+            with np.errstate(over="ignore"):
+                gaps = b - a
+            overflowed += np.isinf(gaps).sum()
+            assert ((dist._half_gaps(x)[0::2] > dist.SNAP_TOL / 2) == (gaps > dist.SNAP_TOL)).all()
+        assert overflowed > 10_000
+
+    def test_convolve_rows_of_the_smaller_law(self):
+        x = dist.make([-1e308, 9e307, 1e308], [0.2, 0.3, 0.5])
+        z = dist.make([0.0, 1e300], [0.5, 0.5])
+        assert same_bytes(dist.convolve(x, z), convolve_d1_major(x, z))
+        assert dist.convolve(x, z).n_atoms == 6
+
+    def test_shift(self):
+        d = dist.shift(dist.make([-1e308, 9e307], [0.5, 0.5]), 1.0)
+        assert d.support.tolist() == [-1e308, 9e307]
+
+    def test_make_min_gap_and_moments(self):
+        d = dist.make([1e308, -1e308, 0.0], [0.2, 0.3, 0.5])
+        assert d.support.tolist() == [-1e308, 0.0, 1e308] and d.min_gap == 1e308
+        wide = dist.make([-1.7e308, 1.7e308], [0.01, 0.99])
+        assert wide.min_gap == math.inf and wide.moments.variance == math.inf
 
 
 class TestMixture:
