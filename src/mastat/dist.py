@@ -67,15 +67,20 @@ class FiniteDist:
     log_probs: np.ndarray
 
     def __post_init__(self):
-        x = self.support
-        for arr in (x, self.probs, self.log_probs):
+        x, p, lp = self.support, self.probs, self.log_probs
+        for arr in (x, p, lp):
             arr.setflags(write=False)
-        if x.ndim != 1 or x.shape != self.probs.shape:
-            raise LengthMismatch("support and probs must be 1-D arrays of equal length")
+        if x.ndim != 1 or not x.shape == p.shape == lp.shape:
+            raise LengthMismatch("support, probs and log_probs must be 1-D arrays of equal length")
         if x.size == 0:
             raise LengthMismatch("distribution must have at least one atom")
         if (x[1:] <= x[:-1]).any():
             raise BadParams("support must be strictly increasing")
+        _check_masses(p)
+        # a mass that underflows to 0 may keep a finite log mass (decay_two_point);
+        # past a log mass of 1, which is refused, exp(1) stands in for an overflow
+        if not (np.abs(np.exp(np.minimum(lp, 1.0)) - p) <= MASS_TOL).all():
+            raise BadParams("log_probs must be the logs of probs")
 
     @property
     def n_atoms(self) -> int:
@@ -204,13 +209,17 @@ def make(support, probs) -> FiniteDist:
         )
     if not np.isfinite(support).all():
         raise BadParams("support points must be finite")
-    # written so that a NaN mass fails the checks
+    _check_masses(probs)
+    return _trusted(*_canonical(support, probs))
+
+
+def _check_masses(probs: np.ndarray) -> None:
+    """NegativeProb or MassNotOne unless the masses are >= 0 (not NaN) and sum to 1 (MASS_TOL)."""
     if not (probs >= 0).all():
         raise NegativeProb("probabilities must be nonnegative numbers")
     total = probs.sum()
     if not abs(total - 1.0) <= MASS_TOL:
         raise MassNotOne(f"probabilities sum to {float(total)}, expected 1")
-    return _trusted(*_canonical(support, probs))
 
 
 def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:

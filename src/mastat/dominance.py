@@ -12,16 +12,16 @@ whole index interval, not only on the profile grid, up to the rounding
 of K near a = 0 (see the cgf module doc). No step has a scale of its
 own: for s a power of two, (sX, sY) gets the exact image of (X, Y)'s
 certificate, until V, T or the squared radius leaves the doubles (N past
-about 3.5e152). If X already dominates Y, the catalyst is the point mass
-at 0, one FiniteDist (frozen, arrays read-only) that all such
-certificates share, and the worst gap is fosd's or sosd's, which
-verify_certificate re-runs for it. Otherwise the paper's band floor
+about 3.5e152). Construction walks one schedule of rungs, _rungs, and
+returns the first whose worst gap passes the one acceptance test, >=
+-1e-12 (_GAP_TOL). The first rung is the point mass at 0, one FiniteDist
+(frozen, arrays read-only) shared by its certificates, whose worst gap is
+fosd's or sosd's; then come the truncated Gaussians, whose band floor
 delta is read off the signed masses, not searched for (the proofs are in
-_construct). The certificate is machine-checked: the dominance sweep over
-every breakpoint of the convolved cdfs is part of construction, on the
-same signed masses that verify_certificate sweeps. So worst_gap equals
-the re-verification exactly for every certificate; `verified` is set
-only when it clears -1e-12.
+_rungs). _rung_gap, which verify_certificate calls too, decides a
+one-atom catalyst by fosd or sosd and any other by the sweep over every
+breakpoint of the convolved cdfs, on signed masses built once per
+construction. So worst_gap equals the re-verification exactly.
 
 The sweep does not sort every breakpoint once there are more than
 _ONE_ROW_MAX of them. It bins the merged support and the catalyst onto
@@ -39,6 +39,7 @@ large_numbers_n searches for the first n at which the n-fold i.i.d. sums
 become comparable, unless the input laws' ends already rule out every n.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -60,8 +61,8 @@ from .errors import BadParams, BudgetExhausted, NoKDominance, NoKDominanceOnNega
 
 _GAP_TOL = 1e-12
 
-#: the catalyst when X already dominates Y; FiniteDist is frozen and its
-#: arrays read-only, so every certificate shares this one
+#: the first catalyst rung; FiniteDist is frozen and its arrays read-only,
+#: so every certificate that it passes shares this one
 _POINT_ZERO = _trusted(np.zeros(1), np.ones(1), np.zeros(1))
 
 #: atom-count ladder for the catalyst discretization (cap 2**14)
@@ -224,6 +225,10 @@ class CatalystCertificate:
     params: CatalystParams
     verified: bool
     worst_gap: float
+
+
+#: the point mass's params, shared by its certificates as _POINT_ZERO is
+_ZERO_PARAMS = CatalystParams(*[0.0] * 7)
 
 
 def _signed_masses(dx: FiniteDist, dy: FiniteDist) -> Tuple[np.ndarray, np.ndarray]:
@@ -491,45 +496,39 @@ def _min_gap_rows(t, jumps, order, rows=None):
     return float(integ[k]), float(t[k])
 
 
-def fosd_with_catalyst(
-    dx: FiniteDist, dy: FiniteDist, z: FiniteDist
-) -> Tuple[float, float]:
+def fosd_with_catalyst(dx: FiniteDist, dy: FiniteDist, z: FiniteDist) -> Tuple[float, float]:
     """(worst gap, where) for first-order dominance of X+Z over Y+Z."""
-    u, s = _signed_masses(dx, dy)
-    return _conv_gap_sweep(u, s, z, 1)
+    return _conv_gap_sweep(*_signed_masses(dx, dy), z, 1)
 
 
-def sosd_with_catalyst(
-    dx: FiniteDist, dy: FiniteDist, z: FiniteDist
-) -> Tuple[float, float]:
+def sosd_with_catalyst(dx: FiniteDist, dy: FiniteDist, z: FiniteDist) -> Tuple[float, float]:
     """(worst integrated gap, where) for second-order dominance of X+Z over Y+Z."""
-    u, s = _signed_masses(dx, dy)
-    return _conv_gap_sweep(u, s, z, 2)
+    return _conv_gap_sweep(*_signed_masses(dx, dy), z, 2)
 
 
-def verify_certificate(
-    cert: CatalystCertificate, dx: FiniteDist, dy: FiniteDist
-) -> float:
+def verify_certificate(cert: CatalystCertificate, dx: FiniteDist, dy: FiniteDist) -> float:
     """Re-run the check behind a certificate; returns the worst gap."""
-    first = cert.order == "first"
-    # X dominates Y: fosd's or sosd's worst gap. A copied certificate holds
-    # a copy of _POINT_ZERO, and a Gaussian rung keeps its centre cells.
-    if cert.catalyst.n_atoms == 1:
-        return fosd(dx, dy).min_gap if first else sosd(dx, dy).min_integral
-    sweep = fosd_with_catalyst if first else sosd_with_catalyst
-    return sweep(dx, dy, cert.catalyst)[0]
+    return _rung_gap(dx, dy, cert.catalyst, 1 if cert.order == "first" else 2)
 
 
-def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> CatalystCertificate:
-    """Shared first/second order construction, following the proof recipe.
+def _rung_gap(dx, dy, z, order, signed=None) -> float:
+    """Worst gap of X + Z over Y + Z: fosd's or sosd's for a one-atom Z (a
+    copy of _POINT_ZERO; a Gaussian keeps its centre cells), else the sweep
+    on signed, _signed_masses(dx, dy), which is built here if not given."""
+    if z.n_atoms == 1:
+        return fosd(dx, dy).min_gap if order == 1 else sosd(dx, dy).min_integral
+    u, s = signed or _signed_masses(dx, dy)
+    return _conv_gap_sweep(u, s, z, order)[0]
 
-    Check strict CGF dominance at margin >= 0 (on [-inf, 0] at order 2),
-    and return Z = point mass at 0 if X already dominates Y. Otherwise take
-    eps = 0.995 * cap inside the endpoint gaps, read the quarter-band floor
-    delta, set A = (4/eps) log(8N/(eps*delta)) > 0 (eps < cap <= 2N), then
-    double the variance V from N^2, with truncation T = A*V + N, refining
-    the catalyst grid up to 2**14 atoms at each V, until a rung verifies or
-    V, T or the squared grid radius leaves the doubles.
+
+def _rungs(dx: FiniteDist, dy: FiniteDist, order: int):
+    """The catalyst schedule: (Z, params, signed masses or None) per rung.
+
+    The point mass at 0 comes first. Then eps = 0.995 * cap inside the
+    endpoint gaps, the quarter-band floor delta, A = (4/eps)
+    log(8N/(eps*delta)) > 0 (eps < cap <= 2N), and V doubling from N^2 with
+    T = A*V + N, the grid running through _Z_ATOMS at each V, until V, T
+    or the squared grid radius leaves the doubles.
 
     The endpoint gaps need no check: the profile grid holds -inf (and +inf
     at order 1), where K is the moments' ends, so the gaps sampled there
@@ -547,32 +546,14 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
     as fosd's survival gap is. Both are positive; a smaller eps only
     lowers them.
     """
-    if margin < 0:  # a NaN margin goes on to the K-check, which refuses it
-        raise BadParams("margin must not be negative")
-    kres = _k_dominates_on(dx, dy, margin, nonpositive=order == 2)
-    if kres.order is not KOrder.STRICT:
-        error = NoKDominance if order == 1 else NoKDominanceOnNegatives
-        where = "" if order == 1 else " on nonpositive indices"
-        raise error(
-            f"CGF dominance{where} is not strict at margin {margin:g} "
-            f"(min gap {kres.min_gap:g})",
-            witness=kres.witness,
-        )
-    name = "first" if order == 1 else "second"
-    direct = fosd(dx, dy) if order == 1 else sosd(dx, dy)
-    if direct.dominates:
-        worst = direct.min_gap if order == 1 else direct.min_integral
-        params = CatalystParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return CatalystCertificate(_POINT_ZERO, name, params, True, worst)
+    yield _POINT_ZERO, _ZERO_PARAMS, None
     mx, my = dx.support, dy.support
     # N is half the span from min Y to max X, or to both laws' top at order 2
     top = mx[-1] if order == 1 else max(mx[-1], my[-1])
     n_half = (float(top) - float(my[0])) / 2.0
-    cap = mx[0] - my[0]
-    if order == 1:
-        cap = min(cap, mx[-1] - my[-1])
-    u, s = _signed_masses(dx, dy)
+    cap = mx[0] - my[0] if order == 2 else min(mx[0] - my[0], mx[-1] - my[-1])
     eps = 0.995 * cap
+    u, s = _signed_masses(dx, dy)
     # the quarter-band floor: Y's mass up to min Y + eps/4, summed from the
     # left, and at order 1 X's mass beyond max X - eps/4, summed from the right
     lo_band = np.searchsorted(u, my[0] + eps / 4.0, side="right")
@@ -585,10 +566,8 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
     if not np.isfinite(log_ratio):  # 8N/(eps*delta) overflows for a tiny delta
         log_ratio = np.log(8.0 * n_half / eps) - np.log(delta)
     a_cut = 4.0 / float(eps) * float(log_ratio)
-
-    variance = n_half * n_half
-    best_gap = None
-    for _ in range(_V_DOUBLINGS + 1):
+    for doublings, atoms in itertools.product(range(_V_DOUBLINGS + 1), _Z_ATOMS):
+        variance = n_half * n_half * 2.0**doublings  # exact, as each doubling was
         trunc = a_cut * variance + n_half
         # grid radius: cells past the double-underflow radius of the
         # Gaussian weight carry exactly zero representable mass, so the
@@ -596,25 +575,36 @@ def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> Cat
         # [-T, T] and the recorded truncation keeps T >= A*V + N
         radius = min(trunc, math.sqrt(1400.0 * variance) + n_half)
         if not (math.isfinite(trunc) and math.isfinite(radius * radius)):
-            break  # as floats, not numpy scalars, they overflow with no warning
-        for atoms in _Z_ATOMS:
-            step = 2.0 * radius / atoms
-            z = discretize_trunc_gaussian(variance, radius, step)
-            worst, _where = _conv_gap_sweep(u, s, z, order)
-            best_gap = worst if best_gap is None else max(best_gap, worst)
-            if worst >= -_GAP_TOL:
-                params = CatalystParams(
-                    n_half, eps, delta, a_cut, variance, trunc, step
-                )
-                return CatalystCertificate(z, name, params, True, worst)
-        variance *= 2.0
-    swept = "no rung swept" if best_gap is None else f"best gap {best_gap:g}"
-    # V is inf only as N^2 (a finite rung past 1e308 / 2 needs A < 1e-154); N on halves
-    v = f"{variance:g}" if variance < math.inf else f"({top / 2 - my[0] / 2:g})^2"
-    raise BudgetExhausted(
-        f"catalyst variance escalation exhausted before V = {v} ({swept})",
-        worst_gap=best_gap,
-    )
+            return  # as floats, not numpy scalars, they overflow with no warning
+        step = 2.0 * radius / atoms
+        params = CatalystParams(n_half, eps, delta, a_cut, variance, trunc, step)
+        yield discretize_trunc_gaussian(variance, radius, step), params, (u, s)
+
+
+def _construct(dx: FiniteDist, dy: FiniteDist, order: int, margin: float) -> CatalystCertificate:
+    """Shared first/second order construction, following the proof recipe:
+    check strict CGF dominance at margin >= 0 (on [-inf, 0] at order 2),
+    then return the first rung of _rungs, the point mass at 0 first, whose
+    worst gap (_rung_gap) is >= -_GAP_TOL."""
+    if margin < 0:  # a NaN margin goes on to the K-check, which refuses it
+        raise BadParams("margin must not be negative")
+    kres = _k_dominates_on(dx, dy, margin, nonpositive=order == 2)
+    if kres.order is not KOrder.STRICT:
+        error = NoKDominance if order == 1 else NoKDominanceOnNegatives
+        where = "" if order == 1 else " on nonpositive indices"
+        raise error(
+            f"CGF dominance{where} is not strict at margin {margin:g} "
+            f"(min gap {kres.min_gap:g})",
+            witness=kres.witness,
+        )
+    best = -math.inf
+    for rung, (z, params, signed) in enumerate(_rungs(dx, dy, order)):
+        worst = _rung_gap(dx, dy, z, order, signed)
+        if worst >= -_GAP_TOL:
+            return CatalystCertificate(z, "first" if order == 1 else "second", params, True, worst)
+        best = max(best, worst)
+    msg = f"catalyst rungs exhausted (the point mass and {rung} Gaussians; best gap {best:g})"
+    raise BudgetExhausted(msg, worst_gap=best)
 
 
 def find_catalyst_first(

@@ -83,7 +83,7 @@ class NoKDominanceOnNegatives(NoKDominance):
 
 
 class BudgetExhausted(MasError):
-    """Escalation budget ran out; carries the best dominance gap seen (None if none was)."""
+    """Escalation budget ran out; carries the best gap of the rungs swept, the point mass first."""
 
     def __init__(self, message, worst_gap=None):
         super().__init__(message)

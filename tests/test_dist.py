@@ -584,6 +584,24 @@ def test_bad_library_input_raises_a_mas_error(call, error):
         call()
 
 
+@pytest.mark.parametrize("support, probs, log_probs, error", [
+    ([], [], [], LengthMismatch),
+    ([0.0, 1.0], [0.5, 0.5], np.log([0.5, 0.5, 0.5]), LengthMismatch),
+    # FiniteDist(...) took these: a mean of -0.5 and a variance of -0.75,
+    # masses summing to 1.4, and log masses under which K_1 read 1.0, not 0.62
+    ([0.0, 1.0], [1.5, -0.5], [0.0, 0.0], NegativeProb),
+    ([0.0, 1.0], [math.nan, 1.0], [0.0, 0.0], NegativeProb),
+    ([0.0, 1.0], [0.7, 0.7], np.log([0.7, 0.7]), MassNotOne),
+    ([0.0, 1.0], [0.5, 0.5], [0.0, 0.0], BadParams),
+    ([0.0, 1.0], [0.5, 0.5], [800.0, 0.0], BadParams),
+], ids=["empty", "log_probs shape", "negative mass", "NaN mass", "sum 1.4", "log_probs 0",
+        "log mass 800"])
+def test_public_constructor_checks_the_masses(support, probs, log_probs, error):
+    arrays = (np.array(a, dtype=np.float64) for a in (support, probs, log_probs))
+    with pytest.raises(error):
+        dist.FiniteDist(*arrays)
+
+
 class TestDecayTwoPoint:
     def test_half_mass(self):
         d = dist.decay_two_point(1, math.log(2))

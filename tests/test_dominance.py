@@ -333,15 +333,15 @@ class TestBandFloor:
         cases = [(order, x, dist.shift(y0, shift), 1e-6)
                  for order, shift in (("first", 0.0), ("first", 0.2), ("first", 0.31),
                                       ("first", 0.33), ("second", 0.31), ("second", 0.33))]
-        pairs = itertools.islice(strict_pair_stream(np.random.default_rng(14)), 80)
+        # 100 pairs: the pairs that dominate up to rounding take the point mass
+        pairs = itertools.islice(strict_pair_stream(np.random.default_rng(14)), 100)
         cases += [(order, x, y, 1e-3) for x, y in pairs for order in ("first", "second")]
         constructed = 0
         for order, x, y, margin in cases:
             cert = getattr(dominance, f"find_catalyst_{order}")(x, y, margin=margin)
             assert cert.verified
-            if cert.catalyst.n_atoms > 1:  # else the worst gap is fosd's or sosd's
-                constructed += 1
-                assert cert.worst_gap == dominance.verify_certificate(cert, x, y)
+            assert cert.worst_gap == dominance.verify_certificate(cert, x, y)
+            constructed += cert.catalyst.n_atoms > 1
         assert constructed >= 30
 
     def test_point_mass_worst_gap_is_the_reverification(self):
@@ -371,6 +371,22 @@ class TestBandFloor:
         x, y = cases[-1][:2]
         cert = dominance.find_catalyst_first(x, y, margin=0.0)
         assert dominance.fosd_with_catalyst(x, y, cert.catalyst)[0] < cert.worst_gap == 0.0
+
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_point_mass_passes_a_gap_lost_to_rounding(self, order):
+        # Y = X - 0.1 with +-0.05 noise: fosd reads -5.55e-17 at 0.5, within
+        # the -1e-12 that every rung passes, so the point mass is the
+        # certificate; the first order built a 129-atom Gaussian for it
+        x = dist.make([0.0, 0.5, 1.0], [0.2, 0.45, 0.35])
+        y = dist.make([-0.15, -0.05, 0.35, 0.45, 0.85, 0.95],
+                      [0.1, 0.1, 0.225, 0.225, 0.175, 0.175])
+        res = dominance.fosd(x, y)
+        assert not res.dominates and -1e-12 < res.min_gap < 0.0 and res.witness == 0.5
+        cert = _FIND[order](x, y)
+        gap = res.min_gap if order == "first" else dominance.sosd(x, y).min_integral
+        assert cert.verified and cert.catalyst is dominance_mod._POINT_ZERO
+        assert cert.worst_gap == gap == dominance.verify_certificate(cert, x, y)
+        assert cert.params == dominance.CatalystParams(*[0.0] * 7)
 
     def test_negative_margin_rejected(self):
         # strict CGF dominance at a margin >= 0 implies both endpoint gaps;
@@ -486,14 +502,20 @@ class TestScaleFree:
     def test_escalation_stops_where_the_catalyst_leaves_the_doubles(self, s, order):
         # the squared catalyst radius is about 1474 N^2, past the largest
         # double from N = 3.5e152 on; such a rung is not tried, and no
-        # overflow warning (an error under pytest) is raised
+        # overflow warning (an error under pytest) is raised. Only the
+        # point mass is swept, so the stop carries its gap.
         x, y = figure_pair()
         xs, ys = _scaled(x, s), _scaled(dist.shift(y, 0.31), s)
         assert cgf.k_dominates(xs, ys).order is cgf.KOrder.STRICT
-        with pytest.raises(BudgetExhausted, match=r"exhausted before V = .* \(no rung swept\)$") as exc:
+        with pytest.raises(BudgetExhausted, match=r"the point mass and 0 Gaussians; best gap") as exc:
             _FIND[order](xs, ys)
+        if order == "first":
+            direct = dominance.fosd(xs, ys).min_gap
+        else:
+            direct = dominance.sosd(xs, ys).min_integral
+        assert isinstance(exc.value.worst_gap, float) and exc.value.worst_gap == direct < -1e-12
         # it named V = inf where N^2 is past the largest double
-        assert exc.value.worst_gap is None and "inf" not in str(exc.value)
+        assert "inf" not in str(exc.value) and f"best gap {direct:g}" in str(exc.value)
 
     def test_largest_scale_that_verifies(self):
         x, y = figure_pair()
