@@ -10,7 +10,11 @@ indices are plain IEEE floats, with +-inf playing the infinite endpoints.
 
 Evaluation is max-shift stabilized and works on log-probabilities, so it
 stays exact for atoms whose linear mass underflows a double. Values are
-clipped to [min, max], where the exact statistic always lies.
+clipped to [min, max], where the exact statistic always lies, by clip,
+which keeps the sign of a zero K (np.maximum and np.minimum would not). The
+scale, the clip bounds, K_(+/-inf) and the FAILS threshold below read only
+the support's ends. Only k_a_many's near-zero branch computes the moments;
+the grid's K_0 is the mean alone.
 
 Rounding. For a law of n atoms with width w = max - min and scale =
 max(1, |x|) over its support, the computed K_a lies within
@@ -39,12 +43,12 @@ which only the index-major memory order reproduces.
 The profile grid (k_profile, and k_dominates on all of it or on its
 nonpositive half) skips k_a_many's masks: its interior takes one _k_direct
 call (a = 0 replaced by its neighbour, a column then overwritten), and
-K_(-inf), K_0 and K_(+inf) come from the moments (lo, mean + 0, hi). The
-bytes are the masked path's, as _k_direct reduces each index's atoms on
-their own, whichever indices share the call. Where |a| scale passes
-_HUGE_A on the interior (scale past 1.5e298 at 201 points), the grid goes
-through k_a_many; it never falls below _SMALL_A there, as scale >= 1 and
-n_grid <= SUPPORT_CAP keep |a| >= 3e-6.
+K_(-inf), K_0 and K_(+inf) are lo, mean + 0 and hi. The bytes are the
+masked path's, as _k_direct reduces each index's atoms on their own,
+whichever indices share the call. Where |a| scale passes _HUGE_A on the
+interior (scale past 1.5e298 at 201 points), the grid goes through
+k_a_many. It never falls below _SMALL_A there: scale >= 1 and n_grid <=
+SUPPORT_CAP keep |a| >= 3e-6.
 
 k_dominates certifies K_a(X) > K_a(Y) + margin on the whole index
 interval. On the profile grid, a gap below -_FAIL_TOL * max(1, |x| over
@@ -111,14 +115,14 @@ def k_a(d: FiniteDist, a: float) -> float:
 def k_a_many(d: FiniteDist, avec: np.ndarray) -> np.ndarray:
     """Vectorized K_a over an array of extended-real indices."""
     avec = np.asarray(avec, dtype=np.float64)
-    m = d.moments
-    scale = max(1.0, abs(m.lo), abs(m.hi))
+    lo, hi = float(d.support[0]), float(d.support[-1])
+    scale = max(1.0, abs(lo), abs(hi))
     absa = np.abs(avec)
     # a product of Python floats past the largest double is inf, with no warning
     if (
         avec.size
-        and (amin := float(absa.min()) * scale) >= _SMALL_A
-        and float(absa.max()) * scale <= _HUGE_A
+        and (amin := float(np.minimum.reduce(absa, axis=None)) * scale) >= _SMALL_A
+        and float(np.maximum.reduce(absa, axis=None)) * scale <= _HUGE_A
         and avec.ndim == 1
     ):
         # a 1-d vector whose every index is finite, clear of zero and below
@@ -130,12 +134,13 @@ def k_a_many(d: FiniteDist, avec: np.ndarray) -> np.ndarray:
             raise BadParams("K_a index must not be NaN")
         # infinite or past the huge cutoff (where a*x risks overflow): the
         # endpoint, which is exact to double precision there
-        out = np.where(avec > 0, m.hi, m.lo)
+        out = np.where(avec > 0, hi, lo)
         # clipped so that the product stays finite; it still reads as past _HUGE_A
         absa = np.minimum(absa, 2.0 * _HUGE_A / scale) * scale
         # near zero the direct path loses ~eps/|a|; use mean + a*var/2
         near = absa < _SMALL_A
         if near.any():
+            m = d.moments
             if math.isfinite(m.variance):
                 out[near] = m.mean + avec[near] * m.variance / 2.0
             else:
@@ -145,7 +150,7 @@ def k_a_many(d: FiniteDist, avec: np.ndarray) -> np.ndarray:
                 out[near] = m.mean + (avec[near] * scale) * var * scale / 2.0
         reg = ~near & (absa <= _HUGE_A)
         out[reg] = _k_direct(d, avec[reg])
-    return out.clip(m.lo, m.hi)
+    return out.clip(lo, hi)
 
 
 def _k_direct(d: FiniteDist, a: np.ndarray) -> np.ndarray:
@@ -209,17 +214,17 @@ def _grid(n_grid: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
 def _k_grid(d: FiniteDist, n_grid: int, nonpositive: bool = False) -> np.ndarray:
     """The bytes of k_a_many on the profile grid or its nonpositive half."""
     _, grid, interior, amax = _grid(n_grid)
-    m = d.moments
-    scale = max(1.0, abs(m.lo), abs(m.hi))
+    lo, hi = float(d.support[0]), float(d.support[-1])
+    scale = max(1.0, abs(lo), abs(hi))
     c = grid.size // 2
     a = grid[: c + 1] if nonpositive else grid
     if not amax * scale <= _HUGE_A:
         return k_a_many(d, a)
     out = np.empty(a.size)
     out[1:-1] = _k_direct(d, interior[: a.size - 2])
-    # mean + 0 * var / 2 at a = 0, as k_a_many's second-order branch gives
-    out[0], out[-1], out[c] = m.lo, m.hi, m.mean + 0.0
-    return out.clip(m.lo, m.hi, out=out)
+    # mean + 0 * var / 2 at a = 0, as k_a_many gives; the mean as moments has it
+    out[0], out[-1], out[c] = lo, hi, float(d.probs.dot(d.support)) + 0.0
+    return out.clip(lo, hi, out=out)
 
 
 def k_profile(d: FiniteDist, n_grid: int = 201) -> KProfile:
@@ -260,14 +265,14 @@ def _k_dominates_on(dx, dy, margin, nonpositive):
     gap = kx - ky
     evaluations = a.size
     budget = _EXTRA_PER_POINT * a.size
-    ends = (dx.moments.lo, dx.moments.hi, dy.moments.lo, dy.moments.hi)
+    ends = (dx.support[0], dx.support[-1], dy.support[0], dy.support[-1])
     fail = _FAIL_TOL * max(1.0, *map(abs, ends))
     best = (math.inf, math.nan)
     # the cells [a_i, a_(i+1)] between neighbouring samples, as t at both
     # ends, K(X) at the left end and K(Y) at the right end
     tl, tr, xl, yr = t[:-1], t[1:], kx[:-1], ky[1:]
     for rounds in itertools.count():
-        k = int(np.argmin(gap))
+        k = int(gap.argmin())
         best = min(best, (float(gap[k]), float(a[k])))
         bad = gap < -fail
         if bad.any():

@@ -90,10 +90,10 @@ class FiniteDist:
     def moments(self) -> Moments:
         """Mean, variance and support endpoints, computed on first use."""
         x = self.support
-        mean = float(np.dot(self.probs, x))
+        mean = float(self.probs.dot(x))
         # past a span of 1e150 a squared deviation may be inf; k_a_many handles it
         with np.errstate(over="ignore") if float(x[-1]) - float(x[0]) > 1e150 else nullcontext():
-            var = float(np.dot(self.probs, (x - mean) ** 2))
+            var = float(self.probs.dot((x - mean) ** 2))
         return Moments(mean, var, float(x[0]), float(x[-1]))
 
     @cached_property
@@ -108,8 +108,9 @@ class FiniteDist:
 
         Entry k is the cdf on [x_k, x_(k+1)), k = searchsorted(x, side="right").
         """
-        cum = np.cumsum(self.probs)
-        steps = np.concatenate(([0.0], cum / cum[-1]))
+        steps = np.zeros(self.probs.size + 1)
+        self.probs.cumsum(out=steps[1:])
+        steps[1:] /= steps[-1]
         steps.setflags(write=False)
         return steps
 
@@ -120,8 +121,9 @@ class FiniteDist:
 
         Entry k is P(X > x) on [x_k, x_(k+1)), indexed as in cdf_steps.
         """
-        tail = np.cumsum(self.probs[::-1])[::-1]
-        steps = np.concatenate((tail / tail[0], [0.0]))
+        steps = np.zeros(self.probs.size + 1)
+        self.probs[::-1].cumsum(out=steps[-2::-1])
+        steps[:-1] /= steps[0]
         steps.setflags(write=False)
         return steps
 
@@ -162,7 +164,7 @@ def _canonical(support, probs):
 def _sort_merge(support, probs):
     """The canonicalisation of _canonical without its early return, for
     input that is not already canonical."""
-    order = np.argsort(support, kind="stable")
+    order = support.argsort(kind="stable")
     support, probs, order = support[order], probs[order], None  # order freed before the merge
     merged_v, merged_p = _merge_sorted(support, probs, SNAP_TOL)
     keep = merged_p > 0.0
@@ -191,9 +193,9 @@ def _merge_sorted(values, weights, tol):
     ends[-1] = n - 1
     w = np.add.reduceat(weights, starts)
     wv = np.add.reduceat(weights * values, starts)
-    # the divisor is never zero, so no floating-point flags to silence
-    mean = wv / np.where(w > 0.0, w, 1.0)
-    return np.minimum(np.maximum(mean, values[starts]), values[ends]), w
+    # a cluster of zero mass keeps wv (as wv / 1), so no 0 / 0 to silence
+    mean = np.divide(wv, w, out=wv, where=w > 0.0)
+    return np.minimum(np.maximum(mean, values[starts], out=mean), values[ends], out=mean), w
 
 
 def make(support, probs) -> FiniteDist:
@@ -213,13 +215,13 @@ def make(support, probs) -> FiniteDist:
     return _trusted(*_canonical(support, probs))
 
 
-def _check_masses(probs: np.ndarray) -> None:
+def _check_masses(probs: np.ndarray, what: str = "probabilities") -> None:
     """NegativeProb or MassNotOne unless the masses are >= 0 (not NaN) and sum to 1 (MASS_TOL)."""
     if not (probs >= 0).all():
-        raise NegativeProb("probabilities must be nonnegative numbers")
+        raise NegativeProb(f"{what} must be nonnegative numbers")
     total = probs.sum()
     if not abs(total - 1.0) <= MASS_TOL:
-        raise MassNotOne(f"probabilities sum to {float(total)}, expected 1")
+        raise MassNotOne(f"{what} sum to {float(total)}, expected 1")
 
 
 def convolve(d1: FiniteDist, d2: FiniteDist) -> FiniteDist:
@@ -341,10 +343,8 @@ def cdf(d: FiniteDist, x):
     The cumulative masses are renormalized by their total so the cdf ends
     at exactly 1.0 regardless of accumulated rounding.
     """
-    out = d.cdf_steps[np.searchsorted(d.support, x, side="right")]
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    out = d.cdf_steps[d.support.searchsorted(x, side="right")]
+    return float(out) if out.ndim == 0 else out
 
 
 def moments(d: FiniteDist) -> Moments:
@@ -425,4 +425,8 @@ def floor_dist(d: FiniteDist) -> FiniteDist:
 
 
 def merged_support(d1: FiniteDist, d2: FiniteDist) -> np.ndarray:
-    return np.union1d(d1.support, d2.support)
+    """The sorted union of both supports, by np.union1d's steps: of -0.0
+    and 0.0 it keeps the one that sorts first."""
+    u = np.concatenate((d1.support, d2.support))
+    u.sort()
+    return u[np.concatenate(([True], u[1:] != u[:-1]))]

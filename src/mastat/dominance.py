@@ -130,13 +130,13 @@ def fosd(d1: FiniteDist, d2: FiniteDist, tol: float = 0.0) -> FosdResult:
     if not tol >= 0.0:  # a NaN tol would pass every pair
         raise BadParams("tol must be a nonnegative number")
     c1, s1, c2, s2 = d1.cdf_steps, d1.survival_steps, d2.cdf_steps, d2.survival_steps
-    k2 = np.searchsorted(d2.support, d1.support, side="right")
+    k2 = d2.support.searchsorted(d1.support, side="right")
     gap = np.minimum(c2[k2] - c1[1:], s1[1:] - s2[k2])  # >= -tol required
-    bad = np.flatnonzero(gap < -tol)
+    bad = (gap < -tol).nonzero()[0]
     if bad.size:
         return FosdResult(False, False, float(d1.support[bad[0]]), float(gap.min()))
-    k1 = np.searchsorted(d1.support, d2.support, side="right")
-    strict = bool(np.any(np.maximum(c2[1:] - c1[k1], s1[k1] - s2[1:]) > tol))
+    k1 = d1.support.searchsorted(d2.support, side="right")
+    strict = bool((np.maximum(c2[1:] - c1[k1], s1[k1] - s2[1:]) > tol).any())
     return FosdResult(True, strict, None, float(gap.min()))
 
 
@@ -199,8 +199,8 @@ def sosd(d1: FiniteDist, d2: FiniteDist, tol: float = 0.0) -> SosdResult:
     pts = merged_support(d1, d2)
     gap = cdf(d2, pts) - cdf(d1, pts)
     integ = np.zeros(pts.size, dtype=np.float64)
-    integ[1:] = np.cumsum(gap[:-1].astype(np.longdouble) * np.diff(pts))
-    bad = np.flatnonzero(integ < -tol)
+    integ[1:] = (gap[:-1].astype(np.longdouble) * (pts[1:] - pts[:-1])).cumsum()
+    bad = (integ < -tol).nonzero()[0]
     if bad.size:
         i = int(bad[0])
         return SosdResult(False, float(pts[i]), float(integ.min()))

@@ -19,13 +19,11 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .cgf import k_a_many
-from .dist import FiniteDist, _positive_int, floor_dist, iid_power, moments, shift
+from .dist import FiniteDist, _check_masses, _positive_int, floor_dist, iid_power, moments, shift
 from .errors import (
     BadSupport,
     EmptyFamily,
     InfiniteAtom,
-    MassNotOne,
-    NegativeProb,
     SupportBlowup,
 )
 
@@ -59,21 +57,14 @@ def make_measure(locations, weights) -> MixingMeasure:
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if locations.size != weights.size or locations.size == 0:
         raise EmptyFamily("need matching, nonempty locations and weights")
-    if np.any(np.isnan(locations)):
+    if np.isnan(locations).any():
         raise BadSupport("locations must not be NaN")
-    # written so that a NaN weight fails the checks
-    if not (weights >= 0).all():
-        raise NegativeProb("weights must be nonnegative numbers")
-    total = weights.sum()
-    if not abs(total - 1.0) <= 1e-9:
-        raise MassNotOne(f"weights sum to {float(total)}, expected 1")
-    order = np.argsort(locations, kind="stable")
+    _check_masses(weights, "weights")
+    order = locations.argsort(kind="stable")
     locations = locations[order]
     weights = weights[order]
     # merge exact duplicates, drop zero-weight atoms (a total near 1 keeps one)
-    starts = np.flatnonzero(
-        np.concatenate(([True], locations[1:] != locations[:-1]))
-    )
+    starts = np.concatenate(([True], locations[1:] != locations[:-1])).nonzero()[0]
     locs = locations[starts]
     wts = np.add.reduceat(weights, starts)
     keep = wts > 0
@@ -90,7 +81,7 @@ def evaluate(mu: MixingMeasure, d: FiniteDist) -> float:
     if d.n_atoms == 1:
         # normalization is exact on constants
         return float(d.support[0])
-    return float(np.dot(mu.weights, k_a_many(d, mu.locations)))
+    return float(mu.weights.dot(k_a_many(d, mu.locations)))
 
 
 def evaluate_gaussian(mu: MixingMeasure, mean: float, var: float) -> float:

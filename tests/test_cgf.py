@@ -411,12 +411,13 @@ class TestSinglePass:
 
         _, dists = self._dists()
         point = dist.make([-0.0], [1.0])
+        zero = dist.make([0.0], [1.0])
         wide = dist.make([-1e200, 1e200], [0.5, 0.5])  # the variance overflows
         huge = dist.make([1e299, 3e299], [0.4, 0.6])  # past _HUGE_A: the fallback
         for n_grid in (3, 10, 51, 201, 1001):
             grid = cgf.profile_grid(n_grid)
             half = grid[: grid.size // 2 + 1]
-            for d in dists + [point, wide, huge]:
+            for d in dists + [point, zero, wide, huge]:
                 monkeypatch.setattr(cgf, "k_a_many", spy)
                 calls.clear()
                 got = cgf.k_profile(d, n_grid).values
@@ -430,8 +431,14 @@ class TestSinglePass:
                     assert got.tobytes() == _k_masked(d, grid).tobytes()
                     assert got_half.tobytes() == _k_masked(d, half).tobytes()
             assert cgf.k_profile(wide, n_grid).values[grid.size // 2] == 0.0
-            # one atom at -0.0: every K is that atom, the mean's sign aside
-            assert (cgf.k_profile(point, n_grid).values == 0.0).all()
+            # one atom at -0.0 or 0.0: every K is 0, with the sign bits that
+            # clip keeps: -0.0 on the negative interior (0 / a), at the ends
+            # the atom itself, and 0.0 at a = 0 (mean + 0.0)
+            neg = np.isfinite(grid) & (grid < 0)
+            for d, ends in ((point, True), (zero, False)):
+                got = cgf.k_profile(d, n_grid).values
+                assert (got == 0.0).all()
+                assert (np.signbit(got) == (neg | (np.isinf(grid) & ends))).all()
         # k_a_many's second-order branch on the grid, under a _SMALL_A
         # raised above the grid's smallest |a|
         d = dists[0]

@@ -838,6 +838,43 @@ class TestCachedSteps:
                 steps[0] = 0.5
 
 
+class TestMergedSupport:
+    """merged_support writes out np.union1d's steps; np.union1d is the
+    oracle, byte for byte, signed zeros included."""
+
+    POOL = (-1.7e308, -2.5, -1e-300, -5e-324, 5e-324, 1e-310, 0.75, 3.0, 1.7e308)
+
+    def _law(self, rng, zero):
+        atoms = rng.choice(self.POOL, int(rng.integers(0, 6)), replace=False)
+        atoms = np.concatenate((atoms, rng.uniform(-4.0, 4.0, int(rng.integers(0, 4)))))
+        if zero is not None:
+            atoms = np.append(atoms, zero)
+        if atoms.size == 0:
+            atoms = np.array([1.0])
+        atoms = np.unique(atoms)
+        probs = np.full(atoms.size, 1.0 / atoms.size)
+        return dist.FiniteDist(atoms, probs, np.log(probs))
+
+    def test_bytes_of_union1d(self):
+        rng = np.random.default_rng(46)
+        for _ in range(400):
+            z1, z2 = (rng.choice([None, -0.0, 0.0]) for _ in range(2))
+            d1, d2 = self._law(rng, z1), self._law(rng, z2)
+            # identical supports, and laws sharing atoms
+            pairs = ((d1, d2), (d2, d1), (d1, d1), (d1, dist.negate(d1)))
+            for a, b in pairs:
+                want = np.union1d(a.support, b.support)
+                got = dist.merged_support(a, b)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_large_supports(self):
+        rng = np.random.default_rng(47)
+        for n in (16, 17, 1000, 5000):
+            d1, d2 = (dist.make(rng.integers(-n, n, n) / 8.0, np.full(n, 1.0 / n)) for _ in range(2))
+            want = np.union1d(d1.support, d2.support)
+            assert dist.merged_support(d1, d2).tobytes() == want.tobytes()
+
+
 class TestConvolveLayout:
     """convolve lays its pair sums out one row per atom of the smaller law;
     the result must be the bytes of the d1-major layout (the oracle)."""

@@ -75,6 +75,16 @@ class TestEvaluate:
             c = float(rng.uniform(-5, 5))
             assert mas.evaluate(mu, dist.make([c], [1.0])) == c
 
+    def test_fresh_law_leaves_its_moments_uncomputed(self):
+        # finite indices clear of 0, and infinite ones, read only the
+        # support's ends: neither the mean nor the variance is computed
+        x, y = dist.make([-1.0, 0.5], [0.4, 0.6]), dist.make([0.0, 2.0], [0.5, 0.5])
+        for locs in ([-2.0, 0.5, 3.0], [-np.inf, 1.5]):
+            mu = mas.make_measure(locs, np.full(len(locs), 1.0 / len(locs)))
+            for d in (dist.make([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3]), dist.convolve(x, y)):
+                mas.evaluate(mu, d)
+                assert "moments" not in vars(d)
+
     def test_additivity(self):
         rng = np.random.default_rng(32)
         for _ in range(50):
